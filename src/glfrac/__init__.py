@@ -16,14 +16,12 @@ from .quadrature import (
 )
 from .scalar_core import (
     ErrorEstimate,
-    FractionalExponent,
     RationalForm,
     ToleranceUnreachableError,
     TruncationPlan,
     build_rational,
     check_alpha,
     estimate_balanced_error,
-    estimate_balanced_error_fast,
     estimate_operator_error,
     estimate_scalar_error,
     eval_scalar,
@@ -49,7 +47,6 @@ from .operator_apply import (
     apply_fractional_inverse,
     builtin_operator,
     dense_fractional_inverse,
-    rescale_to_unit,
 )
 from .oracle_baselines import (
     AccuracyNotReachedError,

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh, eigvalsh_tridiagonal
+from scipy.linalg import eigh
 
 from .quadrature import N_MAX, gauss_laguerre
 from .scalar_core import (
@@ -31,9 +31,7 @@ from .scalar_core import (
     select_n,
 )
 from .operator_apply import (
-    DenseOperator,
     DiagonalOperator,
-    TridiagonalOperator,
     apply_fractional_inverse,
     builtin_operator,
     dense_fractional_inverse,
@@ -112,16 +110,6 @@ def _plan_for(variant: str, n: int, alpha: float):
     raise ValueError(f"unknown variant: {variant}")
 
 
-def _operator_eigenvalues(op) -> np.ndarray:
-    if isinstance(op, DiagonalOperator):
-        return np.sort(op.eigenvalues)
-    if isinstance(op, TridiagonalOperator):
-        return eigvalsh_tridiagonal(op.diag, op.off)
-    if isinstance(op, DenseOperator):
-        return eigvalsh(op.matrix)
-    raise ValueError("operator has no dense spectrum access")
-
-
 def _cmd_nodes(args):
     rule = gauss_laguerre(args.n)
     rows = [(j + 1, rule.nodes[j], rule.weights[j]) for j in range(rule.order)]
@@ -157,7 +145,7 @@ def _cmd_matrix_error(args):
     post = op.lambda_min ** (-args.alpha)
     diagonal = isinstance(op, DiagonalOperator)
     if diagonal:
-        scaled_eigs = np.sort(op.eigenvalues) / op.lambda_min
+        scaled_eigs = op.spectrum() / op.lambda_min
     else:
         a = op.to_dense()
         w, v = eigh(a)
@@ -189,10 +177,10 @@ def _cmd_apply(args):
     return 0
 
 
-def _largest_n_with_budget(plan_of_n, budget: int) -> int | None:
+def _largest_n_with_budget(variant: str, alpha: float, budget: int) -> int | None:
     best = None
     for n in range(1, N_MAX + 1):
-        if plan_of_n(n).predicted_inversions <= budget:
+        if _plan_for(variant, n, alpha).predicted_inversions <= budget:
             best = n
     return best
 
@@ -202,24 +190,19 @@ def _cmd_compare(args):
     budgets = sorted({int(tok) for tok in args.solves.split(",") if tok.strip()})
     if not budgets:
         raise ValueError("no solve budgets given")
-    eigs = _operator_eigenvalues(op)
+    eigs = op.spectrum()
     post = op.lambda_min ** (-args.alpha)
     scaled = eigs / op.lambda_min
     scaled[scaled < 1.0] = 1.0  # guard roundoff at the spectrum edge
     rows = []
     for budget in budgets:
-        n_bal = _largest_n_with_budget(lambda n: plan_balanced(n, args.alpha), budget)
-        if n_bal is not None:
-            plan = plan_balanced(n_bal, args.alpha)
-            form = build_rational(args.alpha, plan)
-            err = post * oracle_diag_norm_error(scaled, args.alpha, form)
-            rows.append(("balanced", plan.predicted_inversions, err))
-        n_eq = _largest_n_with_budget(lambda n: plan_equalized(n, args.alpha), budget)
-        if n_eq is not None:
-            plan = plan_equalized(n_eq, args.alpha)
-            form = build_rational(args.alpha, plan)
-            err = post * oracle_diag_norm_error(scaled, args.alpha, form)
-            rows.append(("equalized", plan.predicted_inversions, err))
+        for variant in ("balanced", "equalized"):
+            n = _largest_n_with_budget(variant, args.alpha, budget)
+            if n is not None:
+                plan = _plan_for(variant, n, args.alpha)
+                form = build_rational(args.alpha, plan)
+                err = post * oracle_diag_norm_error(scaled, args.alpha, form)
+                rows.append((variant, plan.predicted_inversions, err))
         err = post * sinc_baseline_error(scaled, args.alpha, budget)
         rows.append(("sinc", budget, err))
     rows.sort(key=lambda r: (r[0], r[1]))

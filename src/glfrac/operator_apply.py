@@ -1,10 +1,11 @@
 """Applying the rational forms to self-adjoint positive operators.
 
-Each retained node turns into one shifted solve (sigma I + tau L) x = b
-with sigma, tau >= 0, so any operator that can solve such systems plugs
-in through OperatorHandle. Spectra are rescaled to [1, inf) before the
-form is applied and the result is multiplied back by lambda_min**(-alpha),
-which keeps the scalar error estimates valid verbatim.
+Each retained node turns into one shifted solve (sigma I + tau L) X = B
+with sigma, tau >= 0, for a vector or a block B, so any operator that can
+solve such systems plugs in through OperatorHandle. The form is applied to
+L / lambda_min, whose spectrum starts at 1, and the result is multiplied
+back by lambda_min**(-alpha), which keeps the scalar error estimates valid
+verbatim.
 """
 
 import math
@@ -13,9 +14,9 @@ from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh_tridiagonal
+from scipy.linalg import cho_factor, cho_solve, eigvalsh, eigvalsh_tridiagonal, solveh_banded
 
-from .scalar_core import RationalForm, check_alpha
+from .scalar_core import RationalForm
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -25,7 +26,6 @@ __all__ = [
     "TridiagonalOperator",
     "DenseOperator",
     "builtin_operator",
-    "rescale_to_unit",
     "apply_fractional_inverse",
     "dense_fractional_inverse",
     "DENSE_DIM_CAP",
@@ -43,13 +43,19 @@ class DimensionMismatchError(ValueError):
     """Vector length does not match the operator dimension."""
 
 
+def _check_dense_dim(dim: int):
+    if dim > DENSE_DIM_CAP:
+        raise ValueError(f"dimension too large for dense assembly: {dim} > {DENSE_DIM_CAP}")
+
+
 class OperatorHandle(ABC):
     """A self-adjoint positive operator exposing shifted solves.
 
-    Concrete handles implement apply(v) = L v and the protected solve of
-    (sigma I + tau L) x = v. The public shifted_solve wrapper counts
-    every solve (thread-safe), which is what the inversion-accounting
-    tests read back.
+    Concrete handles implement apply(v) = L v for a vector v, spectrum(),
+    and the protected solve of (sigma I + tau L) X = B, where B is a
+    vector (dim,) or a block (dim, r) whose columns are solved alike. The
+    public shifted_solve wrapper counts every solve (thread-safe), which
+    is what the inversion-accounting tests read back.
     """
 
     def __init__(self, dimension: int, lambda_min: float):
@@ -74,34 +80,48 @@ class OperatorHandle(ABC):
     def _check_vector(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dimension,):
-            raise DimensionMismatchError("dimension mismatch")
+            raise DimensionMismatchError(f"dimension mismatch: shape {v.shape}, operator dimension {self.dimension}")
         return v
+
+    def _check_rhs(self, b) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        if b.ndim not in (1, 2) or b.shape[0] != self.dimension:
+            raise DimensionMismatchError(f"dimension mismatch: shape {b.shape}, operator dimension {self.dimension}")
+        return b
 
     @abstractmethod
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Return L v."""
 
+    def spectrum(self) -> np.ndarray:
+        """Return the eigenvalues of L in ascending order."""
+        raise ValueError("operator has no dense spectrum access")
+
     @abstractmethod
-    def _shifted_solve(self, sigma: float, tau: float, v: np.ndarray) -> np.ndarray:
+    def _shifted_solve(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
         ...
 
-    def shifted_solve(self, sigma: float, tau: float, v) -> np.ndarray:
-        """Solve (sigma I + tau L) x = v for sigma, tau >= 0, not both zero."""
+    def shifted_solve(self, sigma: float, tau: float, b) -> np.ndarray:
+        """Solve (sigma I + tau L) X = B for sigma, tau >= 0, not both zero; B is (dim,) or (dim, r)."""
         if sigma < 0.0 or tau < 0.0 or sigma + tau == 0.0:
             raise ValueError("shift coefficients must be nonnegative and not both zero")
-        v = self._check_vector(v)
+        b = self._check_rhs(b)
         with self._count_lock:
             self._solve_count += 1
-        return self._shifted_solve(float(sigma), float(tau), v)
+        return self._shifted_solve(float(sigma), float(tau), b)
 
 
 class DiagonalOperator(OperatorHandle):
-    """diag(eigenvalues); solves are elementwise divisions."""
+    """diag(eigenvalues); solves are row-wise divisions."""
 
     def __init__(self, eigenvalues):
         eigenvalues = np.asarray(eigenvalues, dtype=float)
         if eigenvalues.ndim != 1 or eigenvalues.size == 0:
             raise ValueError("eigenvalues must be a nonempty vector")
+        bad = ~np.isfinite(eigenvalues)
+        if bad.any():
+            raise ValueError(f"eigenvalues must be finite: {int(bad.sum())} of {eigenvalues.size} are NaN or inf, "
+                             f"the first at index {int(np.argmax(bad))}")
         if not np.all(eigenvalues > 0.0):
             raise NotPositiveDefiniteError("operator not positive definite")
         super().__init__(eigenvalues.size, float(eigenvalues.min()))
@@ -110,34 +130,16 @@ class DiagonalOperator(OperatorHandle):
     def apply(self, v):
         return self.eigenvalues * self._check_vector(v)
 
-    def _shifted_solve(self, sigma, tau, v):
-        return v / (sigma + tau * self.eigenvalues)
+    def spectrum(self):
+        return np.sort(self.eigenvalues)
 
-
-def _thomas(diag, off, rhs):
-    """Solve the symmetric tridiagonal system; no pivoting (shifted SPD input)."""
-    n = diag.size
-    if n == 1:
-        return rhs / diag
-    cp = np.empty(n - 1)
-    dp = np.empty(n)
-    cp[0] = off[0] / diag[0]
-    dp[0] = rhs[0] / diag[0]
-    for i in range(1, n - 1):
-        denom = diag[i] - off[i - 1] * cp[i - 1]
-        cp[i] = off[i] / denom
-        dp[i] = (rhs[i] - off[i - 1] * dp[i - 1]) / denom
-    denom = diag[n - 1] - off[n - 2] * cp[n - 2]
-    dp[n - 1] = (rhs[n - 1] - off[n - 2] * dp[n - 2]) / denom
-    x = np.empty(n)
-    x[n - 1] = dp[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
+    def _shifted_solve(self, sigma, tau, b):
+        denom = sigma + tau * self.eigenvalues
+        return b / (denom if b.ndim == 1 else denom[:, None])
 
 
 class TridiagonalOperator(OperatorHandle):
-    """Symmetric tridiagonal operator solved by the Thomas sweep.
+    """Symmetric tridiagonal operator solved by banded Cholesky.
 
     lambda_min may be passed when known in closed form; otherwise the
     smallest eigenvalue is computed once at construction.
@@ -163,8 +165,19 @@ class TridiagonalOperator(OperatorHandle):
         out[1:] += self.off * v[:-1]
         return out
 
-    def _shifted_solve(self, sigma, tau, v):
-        return _thomas(sigma + tau * self.diag, tau * self.off, v)
+    def spectrum(self):
+        return eigvalsh_tridiagonal(self.diag, self.off)
+
+    def _shifted_solve(self, sigma, tau, b):
+        # lower band storage; at dimension 1 the band is the diagonal row alone
+        ab = np.zeros((min(2, self.dimension), self.dimension))
+        ab[0] = sigma + tau * self.diag
+        ab[1:, :-1] = tau * self.off
+        try:
+            return solveh_banded(ab, b, overwrite_ab=True, lower=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError(
+                f"operator not positive definite: sigma={sigma!r}, tau={tau!r}: {exc}") from exc
 
     def to_dense(self) -> np.ndarray:
         a = np.diag(self.diag)
@@ -177,36 +190,46 @@ class TridiagonalOperator(OperatorHandle):
 class DenseOperator(OperatorHandle):
     """Dense symmetric positive definite operator; solves use Cholesky.
 
-    Positive definiteness is checked once at construction by attempting
-    a Cholesky factorization. lambda_min must be supplied by the caller
-    (it is spectral information the factorization does not reveal).
+    lambda_min must be supplied by the caller (it is spectral information
+    the matrix does not reveal cheaply). One Cholesky factorization of
+    A - (1 - 1e-12) lambda_min I at construction checks that it is a
+    lower bound of the spectrum, and so that A is positive definite.
     """
 
     def __init__(self, matrix, lambda_min: float):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
-        if matrix.shape[0] > DENSE_DIM_CAP:
-            raise ValueError("dimension too large for dense assembly")
+        _check_dense_dim(matrix.shape[0])
         if not np.allclose(matrix, matrix.T, rtol=1e-10, atol=1e-12):
             raise ValueError("operator not symmetric")
-        try:
-            cho_factor(matrix, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("operator not positive definite") from exc
         super().__init__(matrix.shape[0], lambda_min)
+        floor = (1.0 - 1e-12) * self.lambda_min
+        shifted = matrix.copy()
+        shifted[np.diag_indices_from(shifted)] -= floor
+        try:
+            cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError(
+                f"operator not positive definite above lambda_min={self.lambda_min!r}: "
+                f"A - {floor!r} I has no Cholesky factor ({exc})") from exc
         self.matrix = matrix
 
     def apply(self, v):
         return self.matrix @ self._check_vector(v)
 
-    def _shifted_solve(self, sigma, tau, v):
+    def spectrum(self):
+        return eigvalsh(self.matrix)
+
+    def _shifted_solve(self, sigma, tau, b):
         shifted = tau * self.matrix
         shifted[np.diag_indices_from(shifted)] += sigma
         try:
-            return cho_solve(cho_factor(shifted, lower=True, check_finite=False), v, check_finite=False)
+            factor = cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("operator not positive definite") from exc
+            raise NotPositiveDefiniteError(
+                f"operator not positive definite: sigma={sigma!r}, tau={tau!r}: {exc}") from exc
+        return cho_solve(factor, b, check_finite=False)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.copy()
@@ -249,8 +272,7 @@ def builtin_operator(kind: str, **params) -> OperatorHandle:
     if kind == "fd-laplacian-2d":
         m = int(params["m"])
         diag, off, lam_min = _fd1d_stencil(m)
-        if m * m > DENSE_DIM_CAP:
-            raise ValueError("dimension too large for dense assembly")
+        _check_dense_dim(m * m)
         t = np.diag(diag)
         idx = np.arange(m - 1)
         t[idx, idx + 1] = off
@@ -261,28 +283,6 @@ def builtin_operator(kind: str, **params) -> OperatorHandle:
     if kind == "dense-spd":
         return DenseOperator(params["matrix"], lambda_min=float(params["lambda_min"]))
     raise ValueError(f"unknown operator kind: {kind}")
-
-
-class _UnitScaledOperator(OperatorHandle):
-    """View of base / lambda_min, whose spectrum starts at 1."""
-
-    def __init__(self, base: OperatorHandle):
-        super().__init__(base.dimension, 1.0)
-        self._base = base
-        self._scale = base.lambda_min
-
-    def apply(self, v):
-        return self._base.apply(v) / self._scale
-
-    def _shifted_solve(self, sigma, tau, v):
-        # (sigma I + tau L/c) x = v  <=>  (sigma I + (tau/c) L) x = v
-        return self._base.shifted_solve(sigma, tau / self._scale, v)
-
-
-def rescale_to_unit(op: OperatorHandle, alpha: float) -> tuple[OperatorHandle, float]:
-    """Spectrum-shifting view (L / lambda_min) plus the lambda_min**(-alpha) postfactor."""
-    alpha = check_alpha(alpha)
-    return _UnitScaledOperator(op), op.lambda_min ** (-alpha)
 
 
 def _solve_tasks(form: RationalForm):
@@ -302,43 +302,39 @@ def apply_fractional_inverse(
     parallel: bool = False,
     max_workers: int | None = None,
 ) -> np.ndarray:
-    """Approximate L**(-alpha) b with one shifted solve per retained node.
+    """Approximate L**(-alpha) B with one shifted solve per retained node.
 
-    The solves are independent and may run on a thread pool, but the
-    weighted accumulation always happens afterwards in the fixed task
-    order, so parallel output is bit-identical to serial output.
+    B is a vector (dim,) or a block (dim, r). A node's solve against
+    L / lambda_min is the solve (sigma I + (tau / lambda_min) L) X = B.
+    The solves are independent and may run on a thread pool, but each
+    solution is added to the sum in the fixed task order, so parallel
+    output is bit-identical to serial output.
     """
-    scaled, post = rescale_to_unit(op, form.alpha)
-    b = scaled._check_vector(b)
+    b = op._check_rhs(b)
+    bad = ~np.isfinite(b)
+    if bad.any():
+        raise ValueError(f"right-hand side must be finite: {int(bad.sum())} of {b.size} entries are NaN or inf")
     tasks = _solve_tasks(form)
 
     def solve(task):
         fam, j, _, sigma, tau = task
         try:
-            return scaled.shifted_solve(sigma, tau, b)
+            return op.shifted_solve(sigma, tau / op.lambda_min, b)
         except Exception as exc:
             raise RuntimeError(f"shifted solve failed (family {fam}, node {j}): {exc}") from exc
 
+    acc = np.zeros(b.shape)
     if parallel and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            solutions = list(pool.map(solve, tasks))
+            for task, sol in zip(tasks, pool.map(solve, tasks)):
+                acc += task[2] * sol
     else:
-        solutions = [solve(t) for t in tasks]
-
-    acc = np.zeros(op.dimension)
-    for task, sol in zip(tasks, solutions):
-        acc = acc + task[2] * sol
-    return post * acc
+        for task in tasks:
+            acc += task[2] * solve(task)
+    return op.lambda_min ** (-form.alpha) * acc
 
 
 def dense_fractional_inverse(op: OperatorHandle, form: RationalForm, parallel: bool = False) -> np.ndarray:
-    """Materialize the approximation of L**(-alpha) column by column."""
-    if op.dimension > DENSE_DIM_CAP:
-        raise ValueError("dimension too large for dense assembly")
-    cols = np.empty((op.dimension, op.dimension))
-    basis = np.zeros(op.dimension)
-    for i in range(op.dimension):
-        basis[i] = 1.0
-        cols[:, i] = apply_fractional_inverse(op, basis, form, parallel=parallel)
-        basis[i] = 0.0
-    return cols
+    """Materialize the approximation of L**(-alpha) with one block solve of the identity per retained node."""
+    _check_dense_dim(op.dimension)
+    return apply_fractional_inverse(op, np.eye(op.dimension), form, parallel=parallel)

@@ -19,7 +19,6 @@ from scipy.optimize import brentq
 from .quadrature import N_MAX, gauss_laguerre
 
 __all__ = [
-    "FractionalExponent",
     "ErrorEstimate",
     "TruncationPlan",
     "RationalForm",
@@ -34,7 +33,6 @@ __all__ = [
     "estimate_scalar_error",
     "estimate_operator_error",
     "estimate_balanced_error",
-    "estimate_balanced_error_fast",
     "select_n",
     "plan_full",
     "plan_balanced",
@@ -56,16 +54,6 @@ def check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha out of range (0, 1)")
     return alpha
-
-
-@dataclass(frozen=True)
-class FractionalExponent:
-    """A validated exponent alpha in (0, 1) for the power lambda**(-alpha)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        check_alpha(self.alpha)
 
 
 def _as_lambda(lam):
@@ -183,8 +171,7 @@ class ErrorEstimate:
 
     branch records which family supplied the maximum: "g1_at_lambda_n"
     (slow family, evaluated at its interior maximum) or "g2_at_one" (fast
-    family, maximal at the spectrum edge). truncation_inflation is the
-    factor budgeted for truncated variants built on the same order.
+    family, maximal at the spectrum edge).
     """
 
     n: int
@@ -192,7 +179,6 @@ class ErrorEstimate:
     value: float
     branch: str
     n_star: float
-    truncation_inflation: float = 2.0
 
     def __post_init__(self):
         if self.branch not in ("g1_at_lambda_n", "g2_at_one"):
@@ -358,17 +344,6 @@ def estimate_balanced_error(k: int, alpha: float, inflation: float = 1.0) -> flo
     return 4.0 * (1.0 + inflation) * math.sin(alpha * _PI) * math.exp(-3.6 * math.sqrt(alpha) * math.sqrt(2.0 * k))
 
 
-def estimate_balanced_error_fast(k2: int, alpha: float, inflation: float = 1.0) -> float:
-    """Fast-family analogue 4 (1 + C) sin(alpha pi) exp(-2.96 (1-alpha)**(1/3) (2 k2)**(2/3))."""
-    alpha = check_alpha(alpha)
-    return (
-        4.0
-        * (1.0 + inflation)
-        * math.sin(alpha * _PI)
-        * math.exp(-2.96 * (1.0 - alpha) ** (1.0 / 3.0) * (2.0 * k2) ** (2.0 / 3.0))
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class RationalForm:
     """Assembled partial-fraction form of the approximation.
@@ -405,14 +380,6 @@ class RationalForm:
         for shifts in (self.shifts1, self.shifts2):
             if not (np.all(shifts >= 0.0) and np.all(shifts < 1.0)):
                 raise ValueError("shifts must lie in [0, 1)")
-
-    @property
-    def family1(self) -> list[tuple[float, float]]:
-        return list(zip(self.coeffs1.tolist(), self.shifts1.tolist()))
-
-    @property
-    def family2(self) -> list[tuple[float, float]]:
-        return list(zip(self.coeffs2.tolist(), self.shifts2.tolist()))
 
     @property
     def solves_required(self) -> int:

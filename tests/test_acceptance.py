@@ -6,12 +6,15 @@ report their measured numbers.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.special import jn_zeros
 
+import glfrac
 from glfrac import (
     build_rational,
     estimate_balanced_error,
@@ -247,11 +250,15 @@ def test_criterion_09_order_selection_sandwich():
 
 
 def _run_cli(args):
+    # run the CLI from the same source tree the tests import
+    src = str(Path(glfrac.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "glfrac.cli", *args],
         capture_output=True,
         text=True,
         check=True,
+        env=env,
     )
     return proc.stdout
 

@@ -23,7 +23,6 @@ from glfrac import (
     plan_balanced,
     plan_equalized,
     plan_full,
-    rescale_to_unit,
     tail_weight_sum,
 )
 
@@ -36,14 +35,6 @@ def _form(alpha, n, variant="full"):
     else:
         plan = plan_equalized(n, alpha)
     return build_rational(alpha, plan)
-
-
-def test_rescale_postfactor_example():
-    op = DiagonalOperator([4.0, 8.0])
-    scaled, post = rescale_to_unit(op, 0.5)
-    assert post == 0.5
-    assert scaled.lambda_min == 1.0
-    assert scaled.dimension == 2
 
 
 def test_apply_on_two_point_diagonal():
@@ -174,17 +165,63 @@ def test_tridiagonal_computes_lambda_min_when_omitted():
 @given(
     sigma=st.floats(0.0, 10.0),
     tau=st.floats(0.01, 10.0),
-    m=st.integers(2, 40),
+    m=st.integers(1, 40),
+    cols=st.sampled_from([None, 1, 3]),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_thomas_solve_residual(sigma, tau, m, seed):
+def test_tridiagonal_solve_residual(sigma, tau, m, cols, seed):
     diag, off = np.full(m, 2.0 * (m + 1) ** 2), np.full(m - 1, -1.0 * (m + 1) ** 2)
     op = TridiagonalOperator(diag, off, lambda_min=1.0)  # spectral floor not needed here
     rng = np.random.default_rng(seed)
-    b = rng.standard_normal(m)
+    b = rng.standard_normal(m if cols is None else (m, cols))
     x = op.shifted_solve(sigma, tau, b)
+    assert x.shape == b.shape
     a = sigma * np.eye(m) + tau * op.to_dense()
     assert np.linalg.norm(a @ x - b) <= 1e-10 * max(1.0, np.linalg.norm(b))
+
+
+def _handles():
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+    w = np.array([1.0, 1.5, 3.0, 8.0, 20.0, 90.0, 400.0])
+    return {
+        "diagonal": DiagonalOperator(rng.permutation(w)),
+        "tridiagonal": builtin_operator("fd-laplacian-1d", m=7),
+        "dense": DenseOperator((q * w) @ q.T, lambda_min=1.0),
+    }
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense"])
+def test_block_solve_matches_column_solves(kind):
+    op = _handles()[kind]
+    block = np.random.default_rng(5).standard_normal((op.dimension, 4))
+    for sigma, tau in ((1.0, 0.3), (0.02, 1.0)):
+        x = op.shifted_solve(sigma, tau, block)
+        cols = np.column_stack([op.shifted_solve(sigma, tau, block[:, i]) for i in range(4)])
+        assert np.array_equal(x, cols)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense"])
+def test_spectrum_ascending(kind):
+    op = _handles()[kind]
+    w = op.spectrum()
+    assert np.all(np.diff(w) > 0.0)
+    dense = np.diag(op.eigenvalues) if kind == "diagonal" else op.to_dense()
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(dense), rtol=1e-12)
+    assert w[0] == pytest.approx(op.lambda_min, rel=1e-12)
+
+
+def test_dense_fractional_inverse_one_solve_per_node():
+    op = builtin_operator("fd-laplacian-2d", m=6)
+    dense_fractional_inverse(op, _form(0.5, 10))
+    assert op.solve_count == 20  # k1 + k2, not dim * (k1 + k2)
+
+
+def test_fd1d_single_point():
+    op = builtin_operator("fd-laplacian-1d", m=1)
+    form = _form(0.5, 4)
+    x = apply_fractional_inverse(op, np.array([2.0]), form)
+    np.testing.assert_allclose(x, 2.0 * op.lambda_min**-0.5 * eval_scalar(form, 1.0), rtol=1e-14)
 
 
 def test_truncated_matches_full_within_tail_bound():
@@ -236,10 +273,43 @@ def test_dimension_checks():
     op = DiagonalOperator([1.0, 2.0, 3.0])
     with pytest.raises(DimensionMismatchError, match="dimension mismatch"):
         apply_fractional_inverse(op, np.ones(4), _form(0.5, 5))
+    with pytest.raises(DimensionMismatchError, match="dimension mismatch"):
+        op.apply(np.eye(3))  # apply is L v for vectors only
     with pytest.raises(ValueError, match="dimension too large"):
         DenseOperator(np.eye(DENSE_DIM_CAP + 1), lambda_min=1.0)
     with pytest.raises(ValueError, match="dimension too large"):
         dense_fractional_inverse(DiagonalOperator(np.ones(DENSE_DIM_CAP + 1)), _form(0.5, 5))
+
+
+def test_rejects_non_finite_rhs_before_any_solve():
+    op = builtin_operator("fd-laplacian-1d", m=5)
+    b = np.ones(5)
+    b[2] = np.nan
+    with pytest.raises(ValueError, match="right-hand side must be finite: 1 of 5"):
+        apply_fractional_inverse(op, b, _form(0.5, 5))
+    assert op.solve_count == 0
+
+
+def test_diagonal_rejects_non_finite_eigenvalues():
+    with pytest.raises(ValueError, match="eigenvalues must be finite: 1 of 2 .* index 1"):
+        DiagonalOperator([1.0, np.inf])
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        DiagonalOperator([np.nan, 2.0])
+
+
+def test_dense_rejects_overstated_lambda_min():
+    a = np.diag([1.0, 3.0, 7.0])
+    assert DenseOperator(a, lambda_min=1.0).lambda_min == 1.0
+    assert DenseOperator(a, lambda_min=0.5).lambda_min == 0.5
+    for overstated in (2.5, 1.0 + 1e-6):
+        with pytest.raises(NotPositiveDefiniteError, match=r"operator not positive definite above lambda_min="):
+            DenseOperator(a, lambda_min=overstated)
+
+
+def test_tridiagonal_indefinite_shift_raises():
+    op = TridiagonalOperator(np.array([1.0, 1.0]), np.array([-2.0]), lambda_min=1.0)  # eigenvalues -1, 3
+    with pytest.raises(NotPositiveDefiniteError, match="operator not positive definite: sigma=0.0, tau=1.0"):
+        op.shifted_solve(0.0, 1.0, np.ones(2))
 
 
 def test_shift_validation():
@@ -258,12 +328,3 @@ def test_solve_failure_names_node_and_family():
     op = Broken([1.0, 2.0])
     with pytest.raises(RuntimeError, match=r"shifted solve failed \(family 1, node 1\)"):
         apply_fractional_inverse(op, np.ones(2), _form(0.5, 3))
-
-
-def test_rescaled_solve_equivalence():
-    op = DiagonalOperator([4.0, 8.0])
-    scaled, _ = rescale_to_unit(op, 0.5)
-    v = np.array([1.0, 1.0])
-    got = scaled.shifted_solve(1.0, 0.5, v)
-    expected = v / (1.0 + 0.5 * np.array([4.0, 8.0]) / 4.0)
-    np.testing.assert_allclose(got, expected, rtol=1e-15)

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from glfrac import (
-    FractionalExponent,
     RationalForm,
     ToleranceUnreachableError,
     build_rational,
@@ -35,8 +34,6 @@ def test_check_alpha_bounds():
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ValueError, match="alpha out of range"):
             check_alpha(bad)
-    with pytest.raises(ValueError):
-        FractionalExponent(1.5)
 
 
 def test_gamma_at_one_is_sqrt_pi():
@@ -155,7 +152,6 @@ def test_estimate_branch_selection():
     assert estimate_operator_error(92, 0.75).branch == "g1_at_lambda_n"
     est = estimate_operator_error(20, 0.5)
     assert est.value == pytest.approx(4.0 * math.sin(0.5 * math.pi) * g1(20, 0.5, lambda_n_exact(20, 0.5)), rel=1e-14)
-    assert est.truncation_inflation == 2.0
 
 
 def test_estimate_branch_switch_blip_frozen():
@@ -247,7 +243,6 @@ def test_build_rational_order_one_closed_form():
     assert form.coeffs2[0] == pytest.approx(2.0 / math.pi, abs=1e-16)
     assert form.shifts1[0] == pytest.approx(math.exp(-2.0), abs=1e-16)
     assert form.shifts2[0] == pytest.approx(math.exp(-2.0), abs=1e-16)
-    assert form.family1 == [(form.coeffs1[0], form.shifts1[0])]
     assert form.solves_required == 2
 
 
