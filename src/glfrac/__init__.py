@@ -31,6 +31,7 @@ from .scalar_core import (
     lambda_n_exact,
     lambda_n_tilde,
     n_star,
+    order_ranges,
     plan_balanced,
     plan_equalized,
     plan_full,

@@ -14,17 +14,19 @@ small colon-separated mini-language:
 
 import argparse
 import sys
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigh
 
-from .quadrature import N_MAX, gauss_laguerre
+from .quadrature import gauss_laguerre
 from .scalar_core import (
     build_rational,
     estimate_operator_error,
     estimate_scalar_error,
     eval_scalar,
+    order_ranges,
     plan_balanced,
     plan_equalized,
     plan_full,
@@ -178,10 +180,12 @@ def _cmd_apply(args):
 
 
 def _largest_n_with_budget(variant: str, alpha: float, budget: int) -> int | None:
+    """Largest order whose plan fits the budget; inversions do not decrease within each order range."""
     best = None
-    for n in range(1, N_MAX + 1):
-        if _plan_for(variant, n, alpha).predicted_inversions <= budget:
-            best = n
+    for orders in order_ranges(alpha):
+        i = bisect_right(orders, budget, key=lambda n: _plan_for(variant, n, alpha).predicted_inversions)
+        if i:
+            best = orders[i - 1]
     return best
 
 

@@ -51,11 +51,11 @@ def _check_dense_dim(dim: int):
 class OperatorHandle(ABC):
     """A self-adjoint positive operator exposing shifted solves.
 
-    Concrete handles implement apply(v) = L v for a vector v, spectrum(),
-    and the protected solve of (sigma I + tau L) X = B, where B is a
-    vector (dim,) or a block (dim, r) whose columns are solved alike. The
-    public shifted_solve wrapper counts every solve (thread-safe), which
-    is what the inversion-accounting tests read back.
+    Concrete handles implement spectrum() and the protected solve of
+    (sigma I + tau L) X = B, where B is a vector (dim,) or a block
+    (dim, r) whose columns are solved alike. The public shifted_solve
+    wrapper counts every solve (thread-safe), which is what the
+    inversion-accounting tests read back.
     """
 
     def __init__(self, dimension: int, lambda_min: float):
@@ -77,21 +77,11 @@ class OperatorHandle(ABC):
         with self._count_lock:
             self._solve_count = 0
 
-    def _check_vector(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dimension,):
-            raise DimensionMismatchError(f"dimension mismatch: shape {v.shape}, operator dimension {self.dimension}")
-        return v
-
     def _check_rhs(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.ndim not in (1, 2) or b.shape[0] != self.dimension:
             raise DimensionMismatchError(f"dimension mismatch: shape {b.shape}, operator dimension {self.dimension}")
         return b
-
-    @abstractmethod
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Return L v."""
 
     def spectrum(self) -> np.ndarray:
         """Return the eigenvalues of L in ascending order."""
@@ -127,9 +117,6 @@ class DiagonalOperator(OperatorHandle):
         super().__init__(eigenvalues.size, float(eigenvalues.min()))
         self.eigenvalues = eigenvalues
 
-    def apply(self, v):
-        return self.eigenvalues * self._check_vector(v)
-
     def spectrum(self):
         return np.sort(self.eigenvalues)
 
@@ -141,8 +128,9 @@ class DiagonalOperator(OperatorHandle):
 class TridiagonalOperator(OperatorHandle):
     """Symmetric tridiagonal operator solved by banded Cholesky.
 
-    lambda_min may be passed when known in closed form; otherwise the
-    smallest eigenvalue is computed once at construction.
+    The smallest eigenvalue is computed once at construction. A lambda_min
+    known in closed form may be passed instead and is kept, provided it
+    exceeds the computed one by at most 4 eps ||T||_1.
     """
 
     def __init__(self, diag, off, lambda_min: float | None = None):
@@ -150,20 +138,21 @@ class TridiagonalOperator(OperatorHandle):
         off = np.asarray(off, dtype=float)
         if diag.ndim != 1 or diag.size < 1 or off.shape != (diag.size - 1,):
             raise ValueError("need a main diagonal of length m and an off-diagonal of length m - 1")
+        smallest = float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
         if lambda_min is None:
-            lambda_min = float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
+            lambda_min = smallest
+        else:
+            abs_off = np.abs(off)
+            norm1 = float(np.max(np.abs(diag) + np.r_[abs_off, 0.0] + np.r_[0.0, abs_off]))
+            if lambda_min > smallest + 4.0 * np.finfo(float).eps * norm1:
+                raise NotPositiveDefiniteError(
+                    f"operator not positive definite above lambda_min={lambda_min!r}: "
+                    f"its smallest eigenvalue is {float(f'{smallest:.15g}')!r}")
         if not lambda_min > 0.0:
             raise NotPositiveDefiniteError("operator not positive definite")
         super().__init__(diag.size, lambda_min)
         self.diag = diag
         self.off = off
-
-    def apply(self, v):
-        v = self._check_vector(v)
-        out = self.diag * v
-        out[:-1] += self.off * v[1:]
-        out[1:] += self.off * v[:-1]
-        return out
 
     def spectrum(self):
         return eigvalsh_tridiagonal(self.diag, self.off)
@@ -214,9 +203,6 @@ class DenseOperator(OperatorHandle):
                 f"operator not positive definite above lambda_min={self.lambda_min!r}: "
                 f"A - {floor!r} I has no Cholesky factor ({exc})") from exc
         self.matrix = matrix
-
-    def apply(self, v):
-        return self.matrix @ self._check_vector(v)
 
     def spectrum(self):
         return eigvalsh(self.matrix)

@@ -1,9 +1,11 @@
 """Independent references: an adaptive integral oracle and a sinc baseline.
 
-Nothing here shares code with the Gauss-Laguerre pipeline, so agreement
-between the two is evidence, not tautology. The oracle integrates the
-two defining integrals with graded Romberg panels; the baseline is a
-plain sinc (trapezoidal-in-log) rule for the same power function.
+The oracle and the baseline share no code with the Gauss-Laguerre
+pipeline, so agreement between them is evidence, not tautology. The
+oracle integrates the two defining integrals with graded Romberg panels;
+the baseline is a plain sinc (trapezoidal-in-log) rule for the same power
+function. oracle_diag_norm_error is the exception: it evaluates the form
+under test with eval_scalar and compares against direct powers.
 """
 
 import math

@@ -11,6 +11,7 @@ planning. Operator plumbing lives in operator_apply.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "lambda_n_exact",
     "lambda_n_tilde",
     "n_star",
+    "order_ranges",
     "estimate_scalar_error",
     "estimate_operator_error",
     "estimate_balanced_error",
@@ -45,7 +47,7 @@ _PI = math.pi
 
 
 class ToleranceUnreachableError(RuntimeError):
-    """No order below the cap meets the requested tolerance."""
+    """No order up to N_MAX meets the requested tolerance."""
 
 
 def check_alpha(alpha: float) -> float:
@@ -165,6 +167,25 @@ def n_star(alpha: float) -> float:
     return 4.5 * alpha ** 4 / (1.0 - alpha) ** 3
 
 
+def _last_fast_order(alpha: float) -> int:
+    """Largest order on the fast-family branch: floor(n_star) when alpha > 1/2, else 0.
+
+    Order n takes the slow-family branch exactly when n exceeds this.
+    """
+    return math.floor(n_star(alpha)) if alpha > 0.5 else 0
+
+
+def order_ranges(alpha: float) -> list[range]:
+    """Orders 1..N_MAX as one or two ranges split at the estimate's branch switch.
+
+    Within each range the operator estimate decreases and every plan's
+    predicted_inversions does not decrease with n, so either can be
+    searched by bisection; across the split the estimate jumps upwards.
+    """
+    last_fast = min(_last_fast_order(check_alpha(alpha)), N_MAX)
+    return [r for r in (range(1, last_fast + 1), range(last_fast + 1, N_MAX + 1)) if r]
+
+
 @dataclass(frozen=True)
 class ErrorEstimate:
     """Operator-norm a-priori estimate for the order-n full approximation.
@@ -198,55 +219,38 @@ def estimate_operator_error(n: int, alpha: float) -> ErrorEstimate:
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    ns = n_star(alpha)
-    if alpha <= 0.5 or n > ns:
+    if n > _last_fast_order(alpha):
         s = g1(n, alpha, lambda_n_exact(n, alpha))
         branch = "g1_at_lambda_n"
     else:
         s = g2(n, alpha, 1.0)
         branch = "g2_at_one"
-    return ErrorEstimate(n, alpha, 4.0 * math.sin(alpha * _PI) * s, branch, ns)
+    return ErrorEstimate(n, alpha, 4.0 * math.sin(alpha * _PI) * s, branch, n_star(alpha))
 
 
-def select_n(alpha: float, tol: float, n_cap: int = N_MAX) -> tuple[int, ErrorEstimate]:
+def select_n(alpha: float, tol: float) -> tuple[int, ErrorEstimate]:
     """Smallest order whose operator estimate does not exceed tol.
 
-    Doubling then bisection, then a final walk-down. The walk-down
-    guards the single upward step the estimate takes where its branch
-    switches, so the returned n always satisfies estimate(n) <= tol and
-    estimate(n - 1) > tol when n > 1.
+    The estimate decreases on each of order_ranges(alpha), so one
+    bisection per range, the lower range first, finds the smallest n with
+    estimate(n) <= tol; every smaller order has an estimate above tol.
     """
     alpha = check_alpha(alpha)
     tol = float(tol)
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    n_cap = min(int(n_cap), N_MAX)
 
-    def value(n):
-        return estimate_operator_error(n, alpha).value
+    def neg_value(n):
+        return -estimate_operator_error(n, alpha).value
 
-    if value(1) <= tol:
-        n = 1
-    else:
-        lo, hi = 1, 2
-        while value(hi) > tol:
-            lo = hi
-            hi *= 2
-            if hi >= n_cap:
-                if value(n_cap) > tol:
-                    raise ToleranceUnreachableError("tolerance unreachable")
-                hi = n_cap
-                break
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if value(mid) <= tol:
-                hi = mid
-            else:
-                lo = mid
-        n = hi
-    while n > 1 and value(n - 1) <= tol:
-        n -= 1
-    return n, estimate_operator_error(n, alpha)
+    for orders in order_ranges(alpha):
+        i = bisect_left(orders, -tol, key=neg_value)
+        if i < len(orders):
+            n = orders[i]
+            return n, estimate_operator_error(n, alpha)
+    best = estimate_operator_error(N_MAX, alpha).value
+    raise ToleranceUnreachableError(
+        f"tolerance unreachable: alpha={alpha!r}, tol={tol!r}, estimate at N_MAX={N_MAX} is {best:.3g}")
 
 
 @dataclass(frozen=True)
@@ -263,17 +267,18 @@ class TruncationPlan:
     n2: int
     k1: int
     k2: int
-    predicted_inversions: int
 
     def __post_init__(self):
         if self.variant not in ("full", "balanced", "equalized"):
             raise ValueError("unknown truncation variant")
         if not (1 <= self.k1 <= self.n1 and 1 <= self.k2 <= self.n2):
             raise ValueError("retained counts must lie in [1, order]")
-        if self.predicted_inversions != self.k1 + self.k2:
-            raise ValueError("inversion count must equal k1 + k2")
         if self.variant == "full" and (self.k1 != self.n1 or self.k2 != self.n2):
             raise ValueError("full variant retains every node")
+
+    @property
+    def predicted_inversions(self) -> int:
+        return self.k1 + self.k2
 
 
 def _k1_cutoff(n: int, alpha: float) -> int:
@@ -293,7 +298,7 @@ def plan_full(n: int) -> TruncationPlan:
     n = int(n)
     if not 1 <= n <= N_MAX:
         raise ValueError("order out of range")
-    return TruncationPlan("full", n, n, n, n, 2 * n)
+    return TruncationPlan("full", n, n, n, n)
 
 
 def plan_balanced(n: int, alpha: float) -> TruncationPlan:
@@ -308,7 +313,7 @@ def plan_balanced(n: int, alpha: float) -> TruncationPlan:
     if not 1 <= n <= N_MAX:
         raise ValueError("order out of range")
     k = _k1_cutoff(n, alpha)
-    return TruncationPlan("balanced", n, n, k, k, 2 * k)
+    return TruncationPlan("balanced", n, n, k, k)
 
 
 def plan_equalized(n: int, alpha: float) -> TruncationPlan:
@@ -323,7 +328,7 @@ def plan_equalized(n: int, alpha: float) -> TruncationPlan:
     n = int(n)
     if not 1 <= n <= N_MAX:
         raise ValueError("order out of range")
-    if alpha <= 0.5 or n > n_star(alpha):
+    if n > _last_fast_order(alpha):
         n1 = n
         k1 = _k1_cutoff(n1, alpha)
         n2 = math.ceil(1.125 * _PI ** (1.0 / 3.0) * alpha ** (4.0 / 3.0) / (1.0 - alpha) * n1 ** (2.0 / 3.0))
@@ -335,13 +340,13 @@ def plan_equalized(n: int, alpha: float) -> TruncationPlan:
         n1 = math.ceil((8.0 * (1.0 - alpha)) ** 1.5 / (27.0 * alpha * alpha * math.sqrt(_PI)) * n2 ** 1.5)
         n1 = max(1, min(n1, N_MAX))
         k1 = _k1_cutoff(n1, alpha)
-    return TruncationPlan("equalized", n1, n2, k1, k2, k1 + k2)
+    return TruncationPlan("equalized", n1, n2, k1, k2)
 
 
-def estimate_balanced_error(k: int, alpha: float, inflation: float = 1.0) -> float:
-    """Truncated-variant bound 4 (1 + C) sin(alpha pi) exp(-3.6 sqrt(alpha) sqrt(2 k))."""
+def estimate_balanced_error(k: int, alpha: float) -> float:
+    """Truncated-variant bound 8 sin(alpha pi) exp(-3.6 sqrt(alpha) sqrt(2 k))."""
     alpha = check_alpha(alpha)
-    return 4.0 * (1.0 + inflation) * math.sin(alpha * _PI) * math.exp(-3.6 * math.sqrt(alpha) * math.sqrt(2.0 * k))
+    return 8.0 * math.sin(alpha * _PI) * math.exp(-3.6 * math.sqrt(alpha) * math.sqrt(2.0 * k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,10 +385,6 @@ class RationalForm:
         for shifts in (self.shifts1, self.shifts2):
             if not (np.all(shifts >= 0.0) and np.all(shifts < 1.0)):
                 raise ValueError("shifts must lie in [0, 1)")
-
-    @property
-    def solves_required(self) -> int:
-        return self.k1 + self.k2
 
 
 def build_rational(alpha: float, plan: TruncationPlan) -> RationalForm:

@@ -130,7 +130,7 @@ def test_criterion_04_balanced_truncation():
     rule = gauss_laguerre(n)
     pref = math.sin(alpha * math.pi) / (alpha * math.pi) + math.sin(alpha * math.pi) / ((1 - alpha) * math.pi)
     tail_bound = pref * tail_weight_sum(rule, plan.k1)
-    bal_est = estimate_balanced_error(plan.k1, alpha, inflation=1.0)
+    bal_est = estimate_balanced_error(plan.k1, alpha)
     inv_ok = plan.predicted_inversions == 2 * plan.k1 <= 40 < 120 == plan_full(n).predicted_inversions
     budget_ok = err_bal <= 2.0 * err_full + tail_bound
     est_ok = err_bal <= 3.0 * bal_est
@@ -152,7 +152,7 @@ def test_criterion_05_equalized_truncation():
         eq = plan_equalized(n, alpha)
         form = build_rational(alpha, eq)
         err = oracle_diag_norm_error(DIAG_EIGS, alpha, form)
-        bal_est = estimate_balanced_error(bal.k1, alpha, inflation=1.0)
+        bal_est = estimate_balanced_error(bal.k1, alpha)
         fewer_ok = eq.predicted_inversions < bal.predicted_inversions
         err_ok = err <= 3.0 * bal_est
         # the equalized order rule n2 = 1.125 pi**(1/3) alpha**(4/3) / (1-alpha) * n1**(2/3)

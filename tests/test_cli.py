@@ -1,15 +1,21 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from glfrac import (
+    N_MAX,
     DiagonalOperator,
     TridiagonalOperator,
     apply_fractional_inverse,
     build_rational,
     gauss_laguerre,
+    plan_balanced,
+    plan_equalized,
     plan_full,
 )
-from glfrac.cli import main, parse_operator
+from glfrac.cli import _largest_n_with_budget, main, parse_operator
 
 
 def run_cli(tmp_path, *argv, name="out.csv"):
@@ -175,3 +181,35 @@ def test_compare_table(tmp_path):
     assert all(s <= 41 for s in bal_solves)
     bal_best = min(v for (m, _), v in by_key.items() if m == "balanced")
     assert bal_best < by_key[("sinc", 41)]
+
+
+@pytest.mark.parametrize("variant, plan", [("balanced", plan_balanced), ("equalized", plan_equalized)])
+@pytest.mark.parametrize("alpha", (0.25, 0.5, 0.75, 0.8, 0.9))
+def test_largest_n_with_budget_matches_linear_scan(variant, plan, alpha):
+    counts = [plan(n, alpha).predicted_inversions for n in range(1, N_MAX + 1)]
+    for budget in range(3, 402):
+        fits = [n for n, c in enumerate(counts, start=1) if c <= budget]
+        assert _largest_n_with_budget(variant, alpha, budget) == (fits[-1] if fits else None)
+
+
+def test_run_figures_writes_cli_tables(tmp_path, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_figures.py"
+    spec = importlib.util.spec_from_file_location("run_figures", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = []
+
+    def recording_main(argv):
+        calls.append(argv)
+        return main(argv)
+
+    monkeypatch.setattr(script, "cli_main", recording_main)
+    outdir = tmp_path / "figures"
+    assert script.main(["--outdir", str(outdir)]) == 0
+    written = sorted(outdir.iterdir())
+    assert len(written) == len(calls) == 11
+    for argv in calls:
+        assert argv[-2] == "--out"
+        code, text = run_cli(tmp_path, *argv[:-2])
+        assert code == 0
+        assert Path(argv[-1]).read_text() == text

@@ -20,6 +20,7 @@ from glfrac import (
     lambda_n_exact,
     lambda_n_tilde,
     n_star,
+    order_ranges,
     plan_balanced,
     plan_equalized,
     plan_full,
@@ -195,6 +196,38 @@ def test_select_n_frozen():
 def test_select_n_unreachable():
     with pytest.raises(ToleranceUnreachableError, match="tolerance unreachable"):
         select_n(0.1, 1e-9)
+    with pytest.raises(ToleranceUnreachableError,
+                       match=r"alpha=0\.1, tol=1e-08, estimate at N_MAX=2048 is 2\.8e-08"):
+        select_n(0.1, 1e-8)
+
+
+@pytest.mark.parametrize("alpha, expected", [(0.6, 9), (0.75, 91), (0.8, 230)])
+def test_select_n_is_minimal_across_the_branch_switch(alpha, expected):
+    # the estimate jumps upwards just past n_star, so a tolerance equal to
+    # the last fast-family estimate is met again only a few orders later
+    last_fast = math.floor(n_star(alpha))
+    tol = estimate_operator_error(last_fast, alpha).value
+    n, est = select_n(alpha, tol)
+    assert n == last_fast == expected
+    assert est.value <= tol
+    assert all(estimate_operator_error(m, alpha).value > tol for m in range(1, n))
+
+
+def test_order_ranges_split_at_the_branch_switch():
+    assert order_ranges(0.5) == [range(1, 2049)]
+    assert order_ranges(0.75) == [range(1, 92), range(92, 2049)]
+    assert order_ranges(0.95) == [range(1, 2049)]  # n_star(0.95) is past N_MAX
+    for alpha in (0.25, 0.75, 0.8):
+        for orders in order_ranges(alpha):
+            assert len({estimate_operator_error(n, alpha).branch for n in (orders[0], orders[-1])}) == 1
+
+
+@pytest.mark.parametrize("alpha", (0.25, 0.5, 0.6, 0.75, 0.8, 0.9))
+def test_predicted_inversions_rise_within_each_order_range(alpha):
+    for orders in order_ranges(alpha):
+        for plan in (plan_balanced, plan_equalized):
+            counts = [plan(n, alpha).predicted_inversions for n in orders]
+            assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
 def test_plan_full_retains_everything():
@@ -243,7 +276,6 @@ def test_build_rational_order_one_closed_form():
     assert form.coeffs2[0] == pytest.approx(2.0 / math.pi, abs=1e-16)
     assert form.shifts1[0] == pytest.approx(math.exp(-2.0), abs=1e-16)
     assert form.shifts2[0] == pytest.approx(math.exp(-2.0), abs=1e-16)
-    assert form.solves_required == 2
 
 
 def test_rational_form_validation():
@@ -319,4 +351,4 @@ def test_balanced_estimate_formula():
     # direct transliteration at one point
     k, alpha = 19, 0.5
     expect = 8.0 * math.sin(alpha * math.pi) * math.exp(-3.6 * math.sqrt(alpha) * math.sqrt(2.0 * k))
-    assert estimate_balanced_error(k, alpha, inflation=1.0) == pytest.approx(expect, rel=1e-15)
+    assert estimate_balanced_error(k, alpha) == pytest.approx(expect, rel=1e-15)
