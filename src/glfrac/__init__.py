@@ -42,6 +42,7 @@ from .operator_apply import (
     DenseOperator,
     DiagonalOperator,
     DimensionMismatchError,
+    KroneckerSumOperator,
     NotPositiveDefiniteError,
     OperatorHandle,
     TridiagonalOperator,

@@ -23,6 +23,14 @@ class OrderOutOfRangeError(ValueError):
     """Requested rule order lies outside [1, N_MAX]."""
 
 
+def check_order(n: int) -> int:
+    """Validate a rule order 1 <= n <= N_MAX, returning it as int."""
+    n = int(n)
+    if not 1 <= n <= N_MAX:
+        raise OrderOutOfRangeError("order out of range")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """A quadrature rule for integrals against exp(-x) dx on [0, inf).
@@ -74,9 +82,7 @@ def gauss_laguerre(n: int) -> QuadratureRule:
         Nodes ascending; weights are the squared first components of the
         orthonormal eigenvectors (the zeroth moment of exp(-x) is one).
     """
-    n = int(n)
-    if not 1 <= n <= N_MAX:
-        raise OrderOutOfRangeError("order out of range")
+    n = check_order(n)
     if n == 1:
         return QuadratureRule(1, np.array([1.0]), np.array([1.0]))
     d = 2.0 * np.arange(n) + 1.0

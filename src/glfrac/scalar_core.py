@@ -15,9 +15,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .quadrature import N_MAX, gauss_laguerre
+from .quadrature import N_MAX, check_order, gauss_laguerre
 
 __all__ = [
     "ErrorEstimate",
@@ -114,34 +113,38 @@ def estimate_scalar_error(n: int, alpha: float, lam):
 def lambda_n_exact(n: int, alpha: float) -> float:
     """Location of the slow-family error maximum on [1, inf).
 
-    Solves, in u = ln(lambda) >= 0,
+    Solves, in u = ln(lambda) >= 0 and with r = sqrt(u**2 + pi**2),
 
-        (sqrt(u**2 + pi**2) - u) / (u**2 + pi**2) = 2 alpha / nbar,
+        (r - u) / r**2 = pi**2 / ((r + u) r**2) = 2 alpha / nbar,
 
-    with nbar = 4 n + 2. The left side decreases from 1/pi at u = 0, so
-    when 2 alpha / nbar >= 1/pi the maximum sits at the boundary and the
-    function returns 1.0.
+    with nbar = 4 n + 2; the second form avoids the cancellation in r - u.
+    The left side decreases from 1/pi at u = 0, so when 2 alpha / nbar >= 1/pi
+    the maximum sits at the boundary and the function returns 1.0.
+    Otherwise Newton steps start from ln(lambda_n_tilde), or from u = 0
+    when n is too small for it, and stop on a step of at most
+    1e-13 + 4 eps u.
     """
     alpha = check_alpha(alpha)
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    nbar = 4.0 * n + 2.0
-    target = 2.0 * alpha / nbar
-
-    def shifted(u):
-        r2 = u * u + _PI * _PI
-        return (math.sqrt(r2) - u) / r2 - target
-
-    if shifted(0.0) <= 0.0:  # 2 alpha / nbar >= 1/pi
+    target = 2.0 * alpha / (4.0 * n + 2.0)
+    if target * _PI >= 1.0:
         return 1.0
-    hi = 200.0
-    while shifted(hi) > 0.0:  # left side ~ pi**2 / (2 u**3); extend for tiny alpha*n
-        hi *= 2.0
-        if hi > 1e6:
-            raise RuntimeError("root bracket exceeded")
-    u = brentq(shifted, 0.0, hi, xtol=1e-13, rtol=4.0 * np.finfo(float).eps)
-    return math.exp(u)
+    try:
+        u = math.log(lambda_n_tilde(n, alpha))
+    except ValueError:  # n too small
+        u = 0.0
+    eps = np.finfo(float).eps
+    for _ in range(50):
+        r2 = u * u + _PI * _PI
+        r = math.sqrt(r2)
+        f = _PI * _PI / ((r + u) * r2)
+        step = (f - target) / (f * (1.0 / r + 2.0 * u / r2))  # -(f - target) / f'(u)
+        u += step
+        if abs(step) <= 1e-13 + 4.0 * eps * u:
+            return math.exp(u)
+    raise RuntimeError(f"lambda_n did not converge: n={n}, alpha={alpha!r}")
 
 
 def lambda_n_tilde(n: int, alpha: float) -> float:
@@ -216,9 +219,7 @@ def estimate_operator_error(n: int, alpha: float) -> ErrorEstimate:
     family edge value g2(1) otherwise.
     """
     alpha = check_alpha(alpha)
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = check_order(n)
     if n > _last_fast_order(alpha):
         s = g1(n, alpha, lambda_n_exact(n, alpha))
         branch = "g1_at_lambda_n"
@@ -295,9 +296,7 @@ def _k2_cutoff(n: int, alpha: float) -> int:
 
 def plan_full(n: int) -> TruncationPlan:
     """Keep every node of both order-n rules."""
-    n = int(n)
-    if not 1 <= n <= N_MAX:
-        raise ValueError("order out of range")
+    n = check_order(n)
     return TruncationPlan("full", n, n, n, n)
 
 
@@ -309,9 +308,7 @@ def plan_balanced(n: int, alpha: float) -> TruncationPlan:
     roughly a third of the solves.
     """
     alpha = check_alpha(alpha)
-    n = int(n)
-    if not 1 <= n <= N_MAX:
-        raise ValueError("order out of range")
+    n = check_order(n)
     k = _k1_cutoff(n, alpha)
     return TruncationPlan("balanced", n, n, k, k)
 
@@ -325,9 +322,7 @@ def plan_equalized(n: int, alpha: float) -> TruncationPlan:
     cutoff. Branch choice mirrors estimate_operator_error.
     """
     alpha = check_alpha(alpha)
-    n = int(n)
-    if not 1 <= n <= N_MAX:
-        raise ValueError("order out of range")
+    n = check_order(n)
     if n > _last_fast_order(alpha):
         n1 = n
         k1 = _k1_cutoff(n1, alpha)

@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from glfrac import (
     N_MAX,
     DiagonalOperator,
+    KroneckerSumOperator,
     TridiagonalOperator,
     apply_fractional_inverse,
     build_rational,
@@ -142,6 +146,7 @@ def test_fd_operator_specs():
     assert isinstance(op, TridiagonalOperator)
     assert op.dimension == 7
     op = parse_operator("fd2d:3")
+    assert isinstance(op, KroneckerSumOperator)
     assert op.dimension == 9
     with pytest.raises(ValueError):
         parse_operator("who-knows:3")
@@ -152,6 +157,9 @@ def test_fd_operator_specs():
 def test_bad_inputs_exit_nonzero(tmp_path, capsys):
     assert main(["nodes", "--n", "0"]) == 1
     assert "order out of range" in capsys.readouterr().err
+    assert main(["estimate", "--alpha", "0.5", "--n", str(N_MAX + 1)]) == 1
+    captured = capsys.readouterr()
+    assert "order out of range" in captured.err and captured.out == ""
     assert main(["apply", "--op", "nope:1", "--alpha", "0.5", "--n", "4"]) == 1
     rhs = tmp_path / "short.txt"
     rhs.write_text("1.0\n")
@@ -213,3 +221,11 @@ def test_run_figures_writes_cli_tables(tmp_path, monkeypatch):
         code, text = run_cli(tmp_path, *argv[:-2])
         assert code == 0
         assert Path(argv[-1]).read_text() == text
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, glfrac, glfrac.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "False"

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.fft import dstn
 
 from glfrac import (
     DENSE_DIM_CAP,
     DenseOperator,
     DiagonalOperator,
     DimensionMismatchError,
+    KroneckerSumOperator,
     NotPositiveDefiniteError,
     TridiagonalOperator,
     apply_fractional_inverse,
@@ -154,6 +156,54 @@ def test_fd2d_kronecker_sum():
     assert np.linalg.norm(x - exact) <= bound * np.linalg.norm(b)
 
 
+def test_fd2d_matches_dense_operator():
+    for m in (5, 12):
+        op = builtin_operator("fd-laplacian-2d", m=m)
+        dense = DenseOperator(op.to_dense(), op.lambda_min)
+        rng = np.random.default_rng(m)
+        for b in (rng.standard_normal(m * m), rng.standard_normal((m * m, 3))):
+            for form in (_form(0.25, 20), _form(0.75, 30, "equalized")):
+                x = apply_fractional_inverse(op, b, form)
+                ref = apply_fractional_inverse(dense, b, form)
+                assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_fd2d_beyond_dense_cap_applies():
+    m, alpha = 60, 0.5
+    op = builtin_operator("fd-laplacian-2d", m=m)
+    assert isinstance(op, KroneckerSumOperator) and op.dimension == m * m > DENSE_DIM_CAP
+    form = _form(alpha, 20, "balanced")
+    b = np.random.default_rng(4).standard_normal(m * m)
+    x = apply_fractional_inverse(op, b, form)
+    # the form applied exactly in the closed-form eigenbasis (orthonormal DST-I on both axes)
+    mu = 4.0 * (m + 1) ** 2 * np.sin(np.arange(1, m + 1) * math.pi / (2.0 * (m + 1))) ** 2
+    values = op.lambda_min**-alpha * eval_scalar(form, (mu[:, None] + mu[None, :]) / op.lambda_min)
+    coef = dstn(b.reshape(m, m), type=1, norm="ortho")
+    ref = dstn(values * coef, type=1, norm="ortho").ravel()
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    with pytest.raises(ValueError, match="dimension too large"):
+        op.to_dense()
+    with pytest.raises(ValueError, match="dimension too large"):
+        dense_fractional_inverse(op, form)
+
+
+@given(
+    sigma=st.floats(0.0, 10.0),
+    tau=st.floats(0.01, 10.0),
+    m=st.integers(1, 12),
+    cols=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_kronecker_sum_solve_residual(sigma, tau, m, cols, seed):
+    op = builtin_operator("fd-laplacian-2d", m=m)
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(m * m if cols is None else (m * m, cols))
+    x = op.shifted_solve(sigma, tau, b)
+    assert x.shape == b.shape
+    a = sigma * np.eye(m * m) + tau * op.to_dense()
+    assert np.linalg.norm(a @ x - b) <= 1e-10 * max(1.0, np.linalg.norm(b))
+
+
 def test_tridiagonal_computes_lambda_min_when_omitted():
     diag = np.full(9, 2.0)
     off = np.full(8, -1.0)
@@ -188,10 +238,11 @@ def _handles():
         "diagonal": DiagonalOperator(rng.permutation(w)),
         "tridiagonal": builtin_operator("fd-laplacian-1d", m=7),
         "dense": DenseOperator((q * w) @ q.T, lambda_min=1.0),
+        "kronecker": KroneckerSumOperator(TridiagonalOperator([3.0, 5.0, 4.0, 6.0], [-1.0, 0.5, -2.0])),
     }
 
 
-@pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense"])
+@pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense", "kronecker"])
 def test_block_solve_matches_column_solves(kind):
     op = _handles()[kind]
     block = np.random.default_rng(5).standard_normal((op.dimension, 4))
@@ -201,11 +252,13 @@ def test_block_solve_matches_column_solves(kind):
         assert np.array_equal(x, cols)
 
 
-@pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense"])
+@pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense", "kronecker"])
 def test_spectrum_ascending(kind):
     op = _handles()[kind]
     w = op.spectrum()
-    assert np.all(np.diff(w) > 0.0)
+    steps = np.diff(w)
+    # a Kronecker sum repeats mu_a + mu_b as mu_b + mu_a; the other spectra are simple
+    assert np.all(steps >= 0.0) if kind == "kronecker" else np.all(steps > 0.0)
     dense = np.diag(op.eigenvalues) if kind == "diagonal" else op.to_dense()
     np.testing.assert_allclose(w, np.linalg.eigvalsh(dense), rtol=1e-12)
     assert w[0] == pytest.approx(op.lambda_min, rel=1e-12)

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from glfrac import (
+    N_MAX,
+    OrderOutOfRangeError,
     RationalForm,
     ToleranceUnreachableError,
     build_rational,
@@ -153,6 +155,15 @@ def test_estimate_branch_selection():
     assert estimate_operator_error(92, 0.75).branch == "g1_at_lambda_n"
     est = estimate_operator_error(20, 0.5)
     assert est.value == pytest.approx(4.0 * math.sin(0.5 * math.pi) * g1(20, 0.5, lambda_n_exact(20, 0.5)), rel=1e-14)
+
+
+def test_estimate_refuses_orders_no_plan_can_build():
+    assert estimate_operator_error(N_MAX, 0.5).n == N_MAX
+    for n in (0, N_MAX + 1, 5000):
+        with pytest.raises(OrderOutOfRangeError, match="order out of range"):
+            estimate_operator_error(n, 0.5)
+        with pytest.raises(OrderOutOfRangeError, match="order out of range"):
+            plan_full(n)
 
 
 def test_estimate_branch_switch_blip_frozen():
