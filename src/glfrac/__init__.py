@@ -12,7 +12,6 @@ from .quadrature import (
     QuadratureRule,
     gauss_laguerre,
     tail_weight_sum,
-    truncation_index,
 )
 from .scalar_core import (
     ErrorEstimate,

@@ -33,6 +33,7 @@ from .scalar_core import (
     select_n,
 )
 from .operator_apply import (
+    DenseOperator,
     DiagonalOperator,
     apply_fractional_inverse,
     builtin_operator,
@@ -81,7 +82,7 @@ def parse_operator(spec: str):
         if not rest:
             raise ValueError(f"bad operator spec: {spec}")
         eigenvalues = np.loadtxt(rest, dtype=float, ndmin=1)
-        return builtin_operator("diag-explicit", eigenvalues=eigenvalues)
+        return DiagonalOperator(eigenvalues)
     if kind == "fd1d":
         return builtin_operator("fd-laplacian-1d", m=int(rest))
     if kind == "fd2d":
@@ -98,7 +99,7 @@ def parse_operator(spec: str):
             matrix = np.loadtxt(fh, dtype=float, ndmin=2)
         if matrix.shape != (dim, dim):
             raise ValueError("dense file body does not match its declared dimension")
-        return builtin_operator("dense-spd", matrix=matrix, lambda_min=lambda_min)
+        return DenseOperator(matrix, lambda_min=lambda_min)
     raise ValueError(f"unknown operator spec: {spec}")
 
 

@@ -172,6 +172,7 @@ class TridiagonalOperator(OperatorHandle):
                 f"operator not positive definite: sigma={sigma!r}, tau={tau!r}: {exc}") from exc
 
     def to_dense(self) -> np.ndarray:
+        _check_dense_dim(self.dimension)
         a = np.diag(self.diag)
         idx = np.arange(self.dimension - 1)
         a[idx, idx + 1] = self.off
@@ -273,16 +274,14 @@ def _fd1d_stencil(m: int):
 
 
 def builtin_operator(kind: str, **params) -> OperatorHandle:
-    """Construct one of the stock test operators.
+    """Construct a stock test operator; DiagonalOperator and DenseOperator take explicit data.
 
     Kinds
     -----
     "diag-power"     : eigenvalues j**exponent, j = 1..size.
-    "diag-explicit"  : eigenvalues given directly.
     "fd-laplacian-1d": Dirichlet Laplacian on m interior points, tridiagonal.
     "fd-laplacian-2d": Dirichlet Laplacian on an m x m grid, as the Kronecker
                        sum of the 1-d one with itself.
-    "dense-spd"      : caller-supplied matrix with known lambda_min.
     """
     if kind == "diag-power":
         size = int(params["size"])
@@ -290,27 +289,13 @@ def builtin_operator(kind: str, **params) -> OperatorHandle:
         if size < 1:
             raise ValueError("size must be at least 1")
         return DiagonalOperator(np.arange(1.0, size + 1.0) ** exponent)
-    if kind == "diag-explicit":
-        return DiagonalOperator(params["eigenvalues"])
     if kind == "fd-laplacian-1d":
         diag, off, lam_min = _fd1d_stencil(params["m"])
         return TridiagonalOperator(diag, off, lambda_min=lam_min)
     if kind == "fd-laplacian-2d":
         diag, off, lam_min = _fd1d_stencil(params["m"])
         return KroneckerSumOperator(TridiagonalOperator(diag, off, lambda_min=lam_min))
-    if kind == "dense-spd":
-        return DenseOperator(params["matrix"], lambda_min=float(params["lambda_min"]))
     raise ValueError(f"unknown operator kind: {kind}")
-
-
-def _solve_tasks(form: RationalForm):
-    """Fixed task order: family 1 ascending, then family 2 ascending."""
-    tasks = []
-    for j, (c, d) in enumerate(zip(form.coeffs1, form.shifts1), start=1):
-        tasks.append((1, j, float(c), 1.0, float(d)))
-    for j, (c, s) in enumerate(zip(form.coeffs2, form.shifts2), start=1):
-        tasks.append((2, j, float(c), float(s), 1.0))
-    return tasks
 
 
 def apply_fractional_inverse(
@@ -325,30 +310,29 @@ def apply_fractional_inverse(
     B is a vector (dim,) or a block (dim, r). A node's solve against
     L / lambda_min is the solve (sigma I + (tau / lambda_min) L) X = B.
     The solves are independent and may run on a thread pool, but each
-    solution is added to the sum in the fixed task order, so parallel
+    solution is added to the sum in the order of form.terms(), so parallel
     output is bit-identical to serial output.
     """
     b = op._check_rhs(b)
     bad = ~np.isfinite(b)
     if bad.any():
         raise ValueError(f"right-hand side must be finite: {int(bad.sum())} of {b.size} entries are NaN or inf")
-    tasks = _solve_tasks(form)
 
-    def solve(task):
-        fam, j, _, sigma, tau = task
+    def solve(term):
+        fam, j, _, sigma, tau = term
         try:
             return op.shifted_solve(sigma, tau / op.lambda_min, b)
         except Exception as exc:
             raise RuntimeError(f"shifted solve failed (family {fam}, node {j}): {exc}") from exc
 
     acc = np.zeros(b.shape)
-    if parallel and len(tasks) > 1:
+    if parallel:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for task, sol in zip(tasks, pool.map(solve, tasks)):
-                acc += task[2] * sol
+            for term, sol in zip(form.terms(), pool.map(solve, form.terms())):
+                acc += term[2] * sol
     else:
-        for task in tasks:
-            acc += task[2] * solve(task)
+        for term in form.terms():
+            acc += term[2] * solve(term)
     return op.lambda_min ** (-form.alpha) * acc
 
 

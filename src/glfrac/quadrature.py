@@ -83,21 +83,11 @@ def gauss_laguerre(n: int) -> QuadratureRule:
         orthonormal eigenvectors (the zeroth moment of exp(-x) is one).
     """
     n = check_order(n)
-    if n == 1:
-        return QuadratureRule(1, np.array([1.0]), np.array([1.0]))
     d = 2.0 * np.arange(n) + 1.0
     e = np.arange(1.0, n)  # symmetric off-diagonal entry is k, not sqrt(k)
     x, v = eigh_tridiagonal(d, e)
     w = v[0, :] ** 2
     return QuadratureRule(n, x, w)
-
-
-def truncation_index(rule: QuadratureRule, s: float) -> int:
-    """Number of leading nodes strictly below s, clamped to [1, order]."""
-    if not np.isfinite(s):
-        raise ValueError("cutoff must be finite")
-    k = int(np.searchsorted(rule.nodes, s, side="left"))
-    return min(max(k, 1), rule.order)
 
 
 def tail_weight_sum(rule: QuadratureRule, k: int) -> float:

@@ -65,33 +65,40 @@ def _as_lambda(lam):
     return arr, arr.ndim == 0
 
 
+def _gamma_pm_at_u(u):
+    """(gamma_minus, gamma_plus) at lambda = exp(u), computed as in gamma_pm."""
+    gp = np.sqrt(np.sqrt(u * u + _PI * _PI) + u)
+    return _PI / gp, gp
+
+
 def gamma_pm(lam):
     """Decay-rate factors gamma_minus, gamma_plus at lambda >= 1.
 
-    gamma_pm = sqrt(sqrt(u**2 + pi**2) -+ u) with u = ln(lambda); their
-    product is exactly pi for every lambda.
+    gamma_pm = sqrt(sqrt(u**2 + pi**2) -+ u) with u = ln(lambda); their product
+    is exactly pi, so gamma_minus is computed as pi / gamma_plus, without cancellation.
 
     Returns
     -------
     (gamma_minus, gamma_plus) : floats or arrays matching the input shape.
     """
     arr, scalar = _as_lambda(lam)
-    u = np.log(arr)
-    r = np.sqrt(u * u + _PI * _PI)
-    gm = np.sqrt(r - u)
-    gp = np.sqrt(r + u)
+    gm, gp = _gamma_pm_at_u(np.log(arr))
     if scalar:
         return float(gm), float(gp)
     return gm, gp
+
+
+def _g1_at_u(n: int, alpha: float, u):
+    """g1 at lambda = exp(u), never forming lambda: exp(-alpha u - gamma_minus sqrt(2 alpha nbar))."""
+    gm, _ = _gamma_pm_at_u(u)
+    return np.exp(-alpha * u - gm * math.sqrt(2.0 * alpha * (4.0 * n + 2.0)))
 
 
 def g1(n: int, alpha: float, lam):
     """Slow-family error profile lambda**(-alpha) * exp(-gamma_minus * sqrt(2 alpha nbar))."""
     alpha = check_alpha(alpha)
     arr, scalar = _as_lambda(lam)
-    gm, _ = gamma_pm(arr)
-    nbar = 4.0 * n + 2.0
-    out = arr ** (-alpha) * np.exp(-gm * math.sqrt(2.0 * alpha * nbar))
+    out = _g1_at_u(n, alpha, np.log(arr))
     return float(out) if scalar else out
 
 
@@ -110,31 +117,23 @@ def estimate_scalar_error(n: int, alpha: float, lam):
     return 4.0 * math.sin(check_alpha(alpha) * _PI) * (g1(n, alpha, lam) + g2(n, alpha, lam))
 
 
-def lambda_n_exact(n: int, alpha: float) -> float:
-    """Location of the slow-family error maximum on [1, inf).
+def _ln_lambda_n(n: int, alpha: float) -> float:
+    """u = ln(lambda_n), where the slow-family error g1 peaks on [1, inf).
 
-    Solves, in u = ln(lambda) >= 0 and with r = sqrt(u**2 + pi**2),
+    Solves, with r = sqrt(u**2 + pi**2),
 
         (r - u) / r**2 = pi**2 / ((r + u) r**2) = 2 alpha / nbar,
 
     with nbar = 4 n + 2; the second form avoids the cancellation in r - u.
     The left side decreases from 1/pi at u = 0, so when 2 alpha / nbar >= 1/pi
-    the maximum sits at the boundary and the function returns 1.0.
-    Otherwise Newton steps start from ln(lambda_n_tilde), or from u = 0
-    when n is too small for it, and stop on a step of at most
-    1e-13 + 4 eps u.
+    the maximum sits at the boundary and u = 0. Otherwise Newton steps start
+    from ln(lambda_n_tilde), computed in u as sqrt(max(radicand, 0)), and stop
+    on a step of at most 1e-13 + 4 eps u.
     """
-    alpha = check_alpha(alpha)
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
     target = 2.0 * alpha / (4.0 * n + 2.0)
     if target * _PI >= 1.0:
-        return 1.0
-    try:
-        u = math.log(lambda_n_tilde(n, alpha))
-    except ValueError:  # n too small
-        u = 0.0
+        return 0.0
+    u = math.sqrt(max(_tilde_radicand(n, alpha), 0.0))
     eps = np.finfo(float).eps
     for _ in range(50):
         r2 = u * u + _PI * _PI
@@ -143,8 +142,26 @@ def lambda_n_exact(n: int, alpha: float) -> float:
         step = (f - target) / (f * (1.0 / r + 2.0 * u / r2))  # -(f - target) / f'(u)
         u += step
         if abs(step) <= 1e-13 + 4.0 * eps * u:
-            return math.exp(u)
+            return u
     raise RuntimeError(f"lambda_n did not converge: n={n}, alpha={alpha!r}")
+
+
+def _tilde_radicand(n: int, alpha: float) -> float:
+    """(nbar pi**2 / (4 alpha))**(2/3) - pi**2, the square of ln(lambda_n_tilde)."""
+    return ((4.0 * n + 2.0) * _PI * _PI / (4.0 * alpha)) ** (2.0 / 3.0) - _PI * _PI
+
+
+def lambda_n_exact(n: int, alpha: float) -> float:
+    """Location exp(u) of the slow-family error maximum on [1, inf), u from _ln_lambda_n.
+
+    Only the tests call it: exp(u) overflows once u passes about 709 (tiny
+    alpha at large n), so estimate_operator_error works in u.
+    """
+    alpha = check_alpha(alpha)
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return math.exp(_ln_lambda_n(n, alpha))
 
 
 def lambda_n_tilde(n: int, alpha: float) -> float:
@@ -152,13 +169,13 @@ def lambda_n_tilde(n: int, alpha: float) -> float:
 
     Raises ValueError("n too small") when the radicand is negative, which
     happens once nbar < 4 alpha pi. A radicand of exactly zero gives 1.0.
+    Only the tests call it; it overflows at tiny alpha like lambda_n_exact.
     """
     alpha = check_alpha(alpha)
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    nbar = 4.0 * n + 2.0
-    radicand = (nbar * _PI * _PI / (4.0 * alpha)) ** (2.0 / 3.0) - _PI * _PI
+    radicand = _tilde_radicand(n, alpha)
     if radicand < 0.0:
         raise ValueError("n too small")
     return math.exp(math.sqrt(radicand))
@@ -202,7 +219,6 @@ class ErrorEstimate:
     alpha: float
     value: float
     branch: str
-    n_star: float
 
     def __post_init__(self):
         if self.branch not in ("g1_at_lambda_n", "g2_at_one"):
@@ -221,12 +237,12 @@ def estimate_operator_error(n: int, alpha: float) -> ErrorEstimate:
     alpha = check_alpha(alpha)
     n = check_order(n)
     if n > _last_fast_order(alpha):
-        s = g1(n, alpha, lambda_n_exact(n, alpha))
+        s = float(_g1_at_u(n, alpha, _ln_lambda_n(n, alpha)))
         branch = "g1_at_lambda_n"
     else:
         s = g2(n, alpha, 1.0)
         branch = "g2_at_one"
-    return ErrorEstimate(n, alpha, 4.0 * math.sin(alpha * _PI) * s, branch, n_star(alpha))
+    return ErrorEstimate(n, alpha, 4.0 * math.sin(alpha * _PI) * s, branch)
 
 
 def select_n(alpha: float, tol: float) -> tuple[int, ErrorEstimate]:
@@ -349,10 +365,9 @@ class RationalForm:
     """Assembled partial-fraction form of the approximation.
 
     Family 1 contributes coeffs1[j] / (1 + shifts1[j] * lambda) and
-    family 2 contributes coeffs2[j] / (shifts2[j] + lambda); nodes are
-    kept in ascending order within each family and the families are
-    always accumulated in that fixed order (family 1 first), which makes
-    every evaluation bit-reproducible.
+    family 2 contributes coeffs2[j] / (shifts2[j] + lambda), nodes
+    ascending within each family. terms() is the one statement of the
+    order in which every evaluation sums them, so all are bit-reproducible.
     """
 
     alpha: float
@@ -380,6 +395,17 @@ class RationalForm:
         for shifts in (self.shifts1, self.shifts2):
             if not (np.all(shifts >= 0.0) and np.all(shifts < 1.0)):
                 raise ValueError("shifts must lie in [0, 1)")
+
+    def terms(self):
+        """Yield (family, node, c, sigma, tau) per term c / (sigma + tau lambda).
+
+        Family 1, with (sigma, tau) = (1.0, d), comes first, then family 2,
+        with (s, 1.0); nodes ascend and are numbered from 1 in each family.
+        """
+        for j, (c, d) in enumerate(zip(self.coeffs1.tolist(), self.shifts1.tolist()), start=1):
+            yield 1, j, c, 1.0, d
+        for j, (c, s) in enumerate(zip(self.coeffs2.tolist(), self.shifts2.tolist()), start=1):
+            yield 2, j, c, s, 1.0
 
 
 def build_rational(alpha: float, plan: TruncationPlan) -> RationalForm:
@@ -415,14 +441,13 @@ def build_rational(alpha: float, plan: TruncationPlan) -> RationalForm:
 def eval_scalar(form: RationalForm, lam):
     """Evaluate the rational form at lambda >= 1 (scalar or array).
 
-    Terms are accumulated in the fixed ascending-node order, family 1
-    first, so repeated evaluations are bit-identical. All terms are
-    positive, so the value is strictly positive.
+    Terms are summed in the order of form.terms(), so evaluations are
+    bit-identical; a scalar is summed in Python floats, which round as numpy
+    does. All terms are positive, and so is the value.
     """
     arr, scalar = _as_lambda(lam)
-    acc = np.zeros_like(arr)
-    for c, d in zip(form.coeffs1, form.shifts1):
-        acc = acc + c / (1.0 + d * arr)
-    for c, s in zip(form.coeffs2, form.shifts2):
-        acc = acc + c / (s + arr)
-    return float(acc) if scalar else acc
+    x = float(arr) if scalar else arr
+    acc = 0.0
+    for _, _, c, sigma, tau in form.terms():
+        acc = acc + c / (sigma + tau * x)
+    return acc

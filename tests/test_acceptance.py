@@ -32,7 +32,6 @@ from glfrac import (
     plan_full,
     select_n,
     tail_weight_sum,
-    truncation_index,
 )
 
 ALPHAS = (0.25, 0.5, 0.75)

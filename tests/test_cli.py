@@ -167,6 +167,16 @@ def test_bad_inputs_exit_nonzero(tmp_path, capsys):
     assert "dimension mismatch" in capsys.readouterr().err
     assert main(["compare", "--alpha", "0.5", "--spectrum", "diagpow:10:2", "--solves", "10"]) == 1
     assert "odd" in capsys.readouterr().err
+    # refused by the dense cap before the tridiagonal matrix is assembled
+    assert main(["matrix-error", "--alpha", "0.5", "--nmax", "2", "--op", "fd1d:2001"]) == 1
+    assert "dimension too large" in capsys.readouterr().err
+
+
+def test_tiny_alpha_exits_zero(capsys):
+    assert main(["estimate", "--alpha", "1e-6", "--n", "2048"]) == 0
+    assert capsys.readouterr().out.startswith("n,estimate,branch\n2048,1.2464087761130")
+    assert main(["select-n", "--alpha", "1e-6", "--tol", "1e-2"]) == 0
+    assert capsys.readouterr().out.startswith("alpha,tol,n,estimate\n1e-06,0.01,1,")
 
 
 def test_compare_table(tmp_path):

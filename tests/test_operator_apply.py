@@ -318,6 +318,9 @@ def test_dimension_checks():
         DenseOperator(np.eye(DENSE_DIM_CAP + 1), lambda_min=1.0)
     with pytest.raises(ValueError, match="dimension too large"):
         dense_fractional_inverse(DiagonalOperator(np.ones(DENSE_DIM_CAP + 1)), _form(0.5, 5))
+    with pytest.raises(ValueError, match="dimension too large"):
+        builtin_operator("fd-laplacian-1d", m=DENSE_DIM_CAP + 1).to_dense()
+    assert builtin_operator("fd-laplacian-1d", m=DENSE_DIM_CAP).to_dense().shape == (DENSE_DIM_CAP, DENSE_DIM_CAP)
 
 
 def test_rejects_non_finite_rhs_before_any_solve():

@@ -13,7 +13,6 @@ from glfrac import (
     QuadratureRule,
     gauss_laguerre,
     tail_weight_sum,
-    truncation_index,
 )
 
 
@@ -85,24 +84,6 @@ def test_rule_validation_rejects_bad_data():
         QuadratureRule(2, np.array([-1.0, 2.0]), np.array([0.5, 0.5]))  # negative node
 
 
-def test_truncation_index_synthetic_examples():
-    r = QuadratureRule(3, np.array([0.5, 2.0, 6.0]), np.array([0.5, 0.3, 0.2]))
-    assert truncation_index(r, 3.0) == 2
-    assert truncation_index(r, 0.1) == 1  # clamped up: at least one node retained
-    assert truncation_index(r, 1e9) == 3  # clamped down to the order
-    assert truncation_index(r, 2.0) == 1  # strict inequality: the node at 2.0 is dropped
-
-
-def test_truncation_index_brackets_cutoff():
-    r = rule(40)
-    for s in (1.0, 7.3, 18.42, 60.0):
-        k = truncation_index(r, s)
-        if k < 40:
-            assert r.nodes[k] >= s
-        if k > 1:
-            assert r.nodes[k - 1] < s
-
-
 def test_tail_weight_sum_endpoints():
     r = rule(40)
     assert tail_weight_sum(r, 0) == pytest.approx(1.0, abs=1e-13)
@@ -116,16 +97,9 @@ def test_tail_weight_frozen_values():
     r = rule(40)
     expected = {5.0: 4.884738896031506e-03, 10.0: 8.128032379181601e-05, 15.0: 3.863968365224067e-07}
     for s, frozen in expected.items():
-        tail = tail_weight_sum(r, truncation_index(r, s))
+        tail = tail_weight_sum(r, max(1, int(np.searchsorted(r.nodes, s))))
         assert tail == pytest.approx(frozen, rel=1e-10)
         assert tail <= 2.0 * math.exp(-s)
-
-
-@given(n=st.integers(min_value=2, max_value=64), s1=st.floats(0.01, 200.0), s2=st.floats(0.01, 200.0))
-def test_truncation_index_monotone_in_cutoff(n, s1, s2):
-    r = rule(n)
-    lo, hi = sorted((s1, s2))
-    assert truncation_index(r, lo) <= truncation_index(r, hi)
 
 
 @given(n=st.integers(min_value=10, max_value=128), frac=st.floats(0.0, 1.0))
@@ -136,5 +110,5 @@ def test_tail_bound_inside_safe_envelope(n, frac):
     nbar = 4.0 * n + 2.0
     s_hi = 0.55 * nbar / math.pi**2
     s = 1.0 + frac * (s_hi - 1.0)
-    tail = tail_weight_sum(r, truncation_index(r, s))
+    tail = tail_weight_sum(r, max(1, int(np.searchsorted(r.nodes, s))))
     assert tail <= 2.0 * math.exp(-s)

@@ -204,6 +204,30 @@ def test_select_n_frozen():
     assert est.value == pytest.approx(9.54490651300883e-07, rel=1e-12)
 
 
+def test_tiny_alpha_estimate_is_evaluated_in_log_lambda():
+    # lambda_n = exp(u) is far beyond float64 here; the estimate never forms it
+    n, alpha = 2048, 1e-6
+    nbar = 4.0 * n + 2.0
+
+    def slope_gap(u):  # decreasing in u; zero at u = ln(lambda_n)
+        r2 = u * u + math.pi**2
+        return math.pi**2 / ((math.sqrt(r2) + u) * r2) - 2.0 * alpha / nbar
+
+    lo, hi = 0.0, 1e4
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope_gap(mid) > 0.0 else (lo, mid)
+    u = 0.5 * (lo + hi)
+    assert u > 709.0
+    ln_g1 = -alpha * u - math.pi / math.sqrt(math.sqrt(u * u + math.pi**2) + u) * math.sqrt(2.0 * alpha * nbar)
+    est = estimate_operator_error(n, alpha)
+    assert est.branch == "g1_at_lambda_n"
+    assert math.isfinite(est.value) and est.value > 0.0
+    assert math.log(est.value / (4.0 * math.sin(alpha * math.pi))) == pytest.approx(ln_g1, rel=1e-12)
+    n, est = select_n(alpha, 1e-2)
+    assert n == 1 and est.value <= 1e-2
+
+
 def test_select_n_unreachable():
     with pytest.raises(ToleranceUnreachableError, match="tolerance unreachable"):
         select_n(0.1, 1e-9)
@@ -317,6 +341,17 @@ def test_eval_scalar_vector_matches_scalar():
     assert vec.tolist() == [eval_scalar(form, x) for x in lams]
     with pytest.raises(ValueError, match="lambda out of range"):
         eval_scalar(form, 0.5)
+    # terms() states the summation order once: k1 + k2 terms, family 1 first
+    form = build_rational(0.75, plan_equalized(60, 0.75))
+    terms = list(form.terms())
+    assert form.k1 != form.k2 and len(terms) == form.k1 + form.k2
+    assert [t[:2] for t in terms] == [(1, j) for j in range(1, form.k1 + 1)] + [(2, j) for j in range(1, form.k2 + 1)]
+    assert [t[2:] for t in terms[: form.k1]] == [(c, 1.0, d) for c, d in zip(form.coeffs1, form.shifts1)]
+    assert [t[2:] for t in terms[form.k1:]] == [(c, s, 1.0) for c, s in zip(form.coeffs2, form.shifts2)]
+    acc = np.zeros_like(lams)
+    for fam, _, c, sigma, tau in terms:
+        acc = acc + (c / (1.0 + tau * lams) if fam == 1 else c / (sigma + lams))
+    assert eval_scalar(form, lams).tolist() == acc.tolist()
 
 
 def test_eval_scalar_within_estimate_at_one():
