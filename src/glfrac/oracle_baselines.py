@@ -45,7 +45,7 @@ def oracle_scalar_power(lam: float, alpha: float) -> float:
     """Reference lambda**(-alpha) = exp(-alpha ln lambda) for lambda >= 1."""
     alpha = check_alpha(alpha)
     lam = float(lam)
-    if lam < 1.0:
+    if not 1.0 <= lam < math.inf:
         raise ValueError("lambda out of range [1, inf)")
     return math.exp(-alpha * math.log(lam))
 
@@ -99,7 +99,7 @@ def oracle_integral(
     """
     alpha = check_alpha(alpha)
     lam = float(lam)
-    if lam < 1.0:
+    if not 1.0 <= lam < math.inf:
         raise ValueError("lambda out of range [1, inf)")
     if family == 1:
         scale = alpha
@@ -141,7 +141,7 @@ def oracle_diag_norm_error(eigenvalues, alpha: float, form: RationalForm) -> flo
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if eigenvalues.ndim != 1 or eigenvalues.size == 0:
         raise ValueError("eigenvalues must be a nonempty vector")
-    if np.any(eigenvalues < 1.0):
+    if not (np.all(eigenvalues >= 1.0) and np.all(np.isfinite(eigenvalues))):
         raise ValueError("lambda out of range [1, inf)")
     exact = np.exp(-alpha * np.log(eigenvalues))
     return float(np.max(np.abs(exact - eval_scalar(form, eigenvalues))))
@@ -163,7 +163,7 @@ def sinc_baseline_error(eigenvalues, alpha: float, total_solves: int) -> float:
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if eigenvalues.ndim != 1 or eigenvalues.size == 0:
         raise ValueError("eigenvalues must be a nonempty vector")
-    if np.any(eigenvalues < 1.0):
+    if not (np.all(eigenvalues >= 1.0) and np.all(np.isfinite(eigenvalues))):
         raise ValueError("lambda out of range [1, inf)")
     half = (total_solves - 1) // 2
     h = math.pi / math.sqrt(alpha * half)

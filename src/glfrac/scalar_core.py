@@ -58,9 +58,9 @@ def check_alpha(alpha: float) -> float:
 
 
 def _as_lambda(lam):
-    """Validate lambda >= 1 and report whether the input was scalar."""
+    """Validate finite lambda >= 1 and report whether the input was scalar."""
     arr = np.asarray(lam, dtype=float)
-    if np.any(arr < 1.0):
+    if not (np.all(arr >= 1.0) and np.all(np.isfinite(arr))):
         raise ValueError("lambda out of range [1, inf)")
     return arr, arr.ndim == 0
 
@@ -128,20 +128,25 @@ def _ln_lambda_n(n: int, alpha: float) -> float:
     The left side decreases from 1/pi at u = 0, so when 2 alpha / nbar >= 1/pi
     the maximum sits at the boundary and u = 0. Otherwise Newton steps start
     from ln(lambda_n_tilde), computed in u as sqrt(max(radicand, 0)), and stop
-    on a step of at most 1e-13 + 4 eps u.
+    on a step of at most 1e-13 + 4 eps u. The step divides by f only through
+    target / f, so no product of tiny factors underflows. Once f leaves the
+    normal range (alpha of about 1e-304 and below) the root is not resolvable
+    in double precision, and a ValueError names alpha and n.
     """
     target = 2.0 * alpha / (4.0 * n + 2.0)
     if target * _PI >= 1.0:
         return 0.0
     u = math.sqrt(max(_tilde_radicand(n, alpha), 0.0))
-    eps = np.finfo(float).eps
+    finfo = np.finfo(float)
     for _ in range(50):
         r2 = u * u + _PI * _PI
         r = math.sqrt(r2)
         f = _PI * _PI / ((r + u) * r2)
-        step = (f - target) / (f * (1.0 / r + 2.0 * u / r2))  # -(f - target) / f'(u)
+        if f < finfo.tiny:
+            raise ValueError(f"alpha too small for lambda_n in double precision: alpha={alpha!r}, n={n}")
+        step = (1.0 - target / f) / (1.0 / r + 2.0 * u / r2)  # -(f - target) / f'(u)
         u += step
-        if abs(step) <= 1e-13 + 4.0 * eps * u:
+        if abs(step) <= 1e-13 + 4.0 * finfo.eps * u:
             return u
     raise RuntimeError(f"lambda_n did not converge: n={n}, alpha={alpha!r}")
 
@@ -419,7 +424,7 @@ def build_rational(alpha: float, plan: TruncationPlan) -> RationalForm:
     """
     alpha = check_alpha(alpha)
     rule1 = gauss_laguerre(plan.n1)
-    rule2 = rule1 if plan.n2 == plan.n1 else gauss_laguerre(plan.n2)
+    rule2 = gauss_laguerre(plan.n2)
     pref1 = math.sin(alpha * _PI) / (alpha * _PI)
     pref2 = math.sin(alpha * _PI) / ((1.0 - alpha) * _PI)
     th1 = rule1.nodes[: plan.k1]

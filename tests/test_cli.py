@@ -170,6 +170,12 @@ def test_bad_inputs_exit_nonzero(tmp_path, capsys):
     # refused by the dense cap before the tridiagonal matrix is assembled
     assert main(["matrix-error", "--alpha", "0.5", "--nmax", "2", "--op", "fd1d:2001"]) == 1
     assert "dimension too large" in capsys.readouterr().err
+    for lam in ("nan", "inf"):
+        assert main(["scalar-error", "--alpha", "0.5", "--lam", lam, "--nmax", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "lambda out of range" in captured.err and captured.out == ""
+    assert main(["estimate", "--alpha", "1e-310", "--n", "2048"]) == 1
+    assert "alpha=1e-310, n=2048" in capsys.readouterr().err
 
 
 def test_tiny_alpha_exits_zero(capsys):
@@ -177,6 +183,11 @@ def test_tiny_alpha_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("n,estimate,branch\n2048,1.2464087761130")
     assert main(["select-n", "--alpha", "1e-6", "--tol", "1e-2"]) == 0
     assert capsys.readouterr().out.startswith("alpha,tol,n,estimate\n1e-06,0.01,1,")
+    # the Newton step's denominator no longer underflows to zero here
+    assert main(["estimate", "--alpha", "1e-240", "--n", "2048"]) == 0
+    assert capsys.readouterr().out.startswith("n,estimate,branch\n2048,")
+    assert main(["select-n", "--alpha", "1e-240", "--tol", "1e-2"]) == 0
+    assert capsys.readouterr().out.startswith("alpha,tol,n,estimate\n1e-240,0.01,1,")
 
 
 def test_compare_table(tmp_path):
@@ -231,6 +242,12 @@ def test_run_figures_writes_cli_tables(tmp_path, monkeypatch):
         code, text = run_cli(tmp_path, *argv[:-2])
         assert code == 0
         assert Path(argv[-1]).read_text() == text
+    # a second run in the same process reuses the cached rules, same bytes
+    again = tmp_path / "again"
+    assert script.main(["--outdir", str(again)]) == 0
+    assert [p.name for p in sorted(again.iterdir())] == [p.name for p in written]
+    for first in written:
+        assert (again / first.name).read_bytes() == first.read_bytes()
 
 
 def test_import_leaves_scipy_optimize_unloaded():

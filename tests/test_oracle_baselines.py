@@ -30,8 +30,9 @@ def test_scalar_power_trivia():
     assert oracle_scalar_power(1.0, 0.3) == 1.0
     assert oracle_scalar_power(10.0, 0.5) == pytest.approx(10.0**-0.5, rel=1e-15)
     assert oracle_scalar_power(1e16, 0.25) == pytest.approx(1e-4, rel=1e-12)
-    with pytest.raises(ValueError, match="lambda out of range"):
-        oracle_scalar_power(0.5, 0.5)
+    for bad in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda out of range"):
+            oracle_scalar_power(bad, 0.5)
 
 
 def test_integral_combination_reproduces_power():
@@ -62,8 +63,9 @@ def test_integral_handles_extreme_exponents_cheaply():
 def test_integral_validation_and_budget():
     with pytest.raises(ValueError, match="family"):
         oracle_integral(3, 2.0, 0.5)
-    with pytest.raises(ValueError, match="lambda out of range"):
-        oracle_integral(1, 0.9, 0.5)
+    for bad in (0.9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda out of range"):
+            oracle_integral(1, bad, 0.5)
     with pytest.raises(AccuracyNotReachedError, match="accuracy not reached"):
         oracle_integral(1, 2.0, 0.5, abs_tol=1e-16, max_evals=100)
 
@@ -85,8 +87,9 @@ def test_diag_norm_error_definition():
     assert math.isclose(got, expected, rel_tol=1e-12)
     single = oracle_diag_norm_error(np.array([1.0]), 0.5, form)
     assert single == abs(1.0 - eval_scalar(form, 1.0))
-    with pytest.raises(ValueError, match="lambda out of range"):
-        oracle_diag_norm_error(np.array([0.5, 2.0]), 0.5, form)
+    for bad in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda out of range"):
+            oracle_diag_norm_error(np.array([1.0, bad]), 0.5, form)
 
 
 @given(perm_seed=st.integers(0, 1000))
@@ -103,8 +106,9 @@ def test_sinc_validation():
     for bad in (0, 1, 2, 10):
         with pytest.raises(ValueError, match="odd"):
             sinc_baseline_error(eigs, 0.5, bad)
-    with pytest.raises(ValueError, match="lambda out of range"):
-        sinc_baseline_error(np.array([0.5]), 0.5, 11)
+    for bad in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda out of range"):
+            sinc_baseline_error(np.array([bad]), 0.5, 11)
 
 
 def test_sinc_frozen_convergence():

@@ -1,34 +1,33 @@
 import math
-from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_laguerre
 
+import glfrac.quadrature
 from glfrac import (
     N_MAX,
     OrderOutOfRangeError,
     QuadratureRule,
+    build_rational,
     gauss_laguerre,
+    plan_balanced,
+    plan_equalized,
     tail_weight_sum,
 )
 
 
-@lru_cache(maxsize=None)
-def rule(n):
-    return gauss_laguerre(n)
-
-
 def test_order_one_is_the_mean():
-    r = rule(1)
+    r = gauss_laguerre(1)
     assert r.nodes.tolist() == [1.0]
     assert r.weights.tolist() == [1.0]
 
 
 def test_order_two_closed_form():
-    r = rule(2)
+    r = gauss_laguerre(2)
     assert r.nodes == pytest.approx([2.0 - math.sqrt(2.0), 2.0 + math.sqrt(2.0)], abs=1e-14)
     assert r.weights == pytest.approx([(2.0 + math.sqrt(2.0)) / 4.0, (2.0 - math.sqrt(2.0)) / 4.0], abs=1e-14)
 
@@ -36,7 +35,7 @@ def test_order_two_closed_form():
 @pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 50, 100])
 def test_moments_match_factorials(n):
     # the order-n rule integrates x**k exp(-x) exactly for k <= 2n - 1
-    r = rule(n)
+    r = gauss_laguerre(n)
     for k in range(0, min(2 * n - 1, 15) + 1):
         moment = float((r.weights * r.nodes**k).sum())
         assert abs(moment - math.factorial(k)) <= 1e-10 * math.factorial(k)
@@ -44,13 +43,13 @@ def test_moments_match_factorials(n):
 
 @pytest.mark.parametrize("n", [1, 3, 16, 40, 128, 512, N_MAX])
 def test_weights_sum_to_one(n):
-    assert abs(float(rule(n).weights.sum()) - 1.0) <= 1e-13
+    assert abs(float(gauss_laguerre(n).weights.sum()) - 1.0) <= 1e-13
 
 
 def test_matches_independent_constructor():
     # scipy's polynomial-based routine is healthy at moderate order
     x_ref, w_ref = roots_laguerre(35)
-    r = rule(35)
+    r = gauss_laguerre(35)
     np.testing.assert_allclose(r.nodes, x_ref, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(r.weights, w_ref, rtol=1e-9, atol=1e-15)
 
@@ -59,12 +58,12 @@ def test_weights_strictly_positive_at_small_orders():
     # from n = 27 on, a trailing weight underflows float64 to an exact
     # zero; below that every weight is representable and must be positive
     for n in range(1, 27):
-        assert np.all(rule(n).weights > 0.0)
+        assert np.all(gauss_laguerre(n).weights > 0.0)
 
 
 def test_nodes_ascending_and_positive():
     for n in (2, 17, 100, 512):
-        r = rule(n)
+        r = gauss_laguerre(n)
         assert np.all(r.nodes > 0.0)
         assert np.all(np.diff(r.nodes) > 0.0)
 
@@ -85,7 +84,7 @@ def test_rule_validation_rejects_bad_data():
 
 
 def test_tail_weight_sum_endpoints():
-    r = rule(40)
+    r = gauss_laguerre(40)
     assert tail_weight_sum(r, 0) == pytest.approx(1.0, abs=1e-13)
     assert tail_weight_sum(r, 40) == 0.0
     with pytest.raises(ValueError):
@@ -94,7 +93,7 @@ def test_tail_weight_sum_endpoints():
 
 def test_tail_weight_frozen_values():
     # tail mass left after cutting at s, against the 2 exp(-s) envelope
-    r = rule(40)
+    r = gauss_laguerre(40)
     expected = {5.0: 4.884738896031506e-03, 10.0: 8.128032379181601e-05, 15.0: 3.863968365224067e-07}
     for s, frozen in expected.items():
         tail = tail_weight_sum(r, max(1, int(np.searchsorted(r.nodes, s))))
@@ -106,9 +105,47 @@ def test_tail_weight_frozen_values():
 def test_tail_bound_inside_safe_envelope(n, frac):
     # the 2 exp(-s) envelope holds up to s ~ 0.55 nbar / pi^2; past that the
     # piecewise-constant tail can poke above it just before a node
-    r = rule(n)
+    r = gauss_laguerre(n)
     nbar = 4.0 * n + 2.0
     s_hi = 0.55 * nbar / math.pi**2
     s = 1.0 + frac * (s_hi - 1.0)
     tail = tail_weight_sum(r, max(1, int(np.searchsorted(r.nodes, s))))
     assert tail <= 2.0 * math.exp(-s)
+
+
+def test_rule_is_built_once_per_order():
+    r = gauss_laguerre(5)
+    assert gauss_laguerre(5) is r
+    assert gauss_laguerre(np.int64(5)) is r
+    assert gauss_laguerre(5.0) is r
+    assert gauss_laguerre(6) is not r
+
+
+@pytest.mark.parametrize("n", [1, 2, 73, N_MAX])
+def test_cached_rule_is_a_read_only_eigensolve(n):
+    r = gauss_laguerre(n)
+    x, v = eigh_tridiagonal(2.0 * np.arange(n) + 1.0, np.arange(1.0, n))
+    assert r.nodes.tobytes() == x.tobytes()
+    assert r.weights.tobytes() == (v[0, :] ** 2).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        r.nodes[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        r.weights[0] = 1.0
+
+
+def test_build_rational_solves_each_order_once(monkeypatch):
+    calls = []
+
+    def counting(d, e):
+        calls.append(len(d))
+        return eigh_tridiagonal(d, e)
+
+    monkeypatch.setattr(glfrac.quadrature, "eigh_tridiagonal", counting)
+    glfrac.quadrature._build_rule.cache_clear()
+    cases = [(0.5, plan_balanced(40, 0.5)), (0.5, plan_equalized(40, 0.5)), (0.75, plan_equalized(30, 0.75))]
+    orders = {n for _, p in cases for n in (p.n1, p.n2)}
+    assert orders == {40, 16, 18, 30}  # order 40 serves both plans at alpha 0.5
+    for _ in range(3):
+        for alpha, p in cases:
+            build_rational(alpha, p)
+    assert sorted(calls) == sorted(orders)

@@ -46,8 +46,11 @@ def test_gamma_at_one_is_sqrt_pi():
 
 
 def test_gamma_rejects_below_one():
-    with pytest.raises(ValueError, match="lambda out of range"):
-        gamma_pm(0.999)
+    for bad in (0.999, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda out of range"):
+            gamma_pm(bad)
+        with pytest.raises(ValueError, match="lambda out of range"):
+            estimate_scalar_error(10, 0.5, [2.0, bad])
 
 
 @given(u=st.floats(0.0, 36.0))
@@ -228,6 +231,21 @@ def test_tiny_alpha_estimate_is_evaluated_in_log_lambda():
     assert n == 1 and est.value <= 1e-2
 
 
+def test_tiny_alpha_estimate_returns_or_refuses():
+    # every case returns a finite positive estimate or refuses with a named
+    # error; refusals start only where f = pi**2 / ((r + u) r**2) underflows
+    for n in (1, 100, 2048):
+        for e in range(1, 324):
+            alpha = 10.0**-e
+            try:
+                value = estimate_operator_error(n, alpha).value
+            except (ValueError, RuntimeError) as exc:
+                assert e > 300, (n, e, exc)
+                assert f"alpha={alpha!r}" in str(exc) and f"n={n}" in str(exc)
+            else:
+                assert math.isfinite(value) and value > 0.0, (n, e, value)
+
+
 def test_select_n_unreachable():
     with pytest.raises(ToleranceUnreachableError, match="tolerance unreachable"):
         select_n(0.1, 1e-9)
@@ -339,8 +357,9 @@ def test_eval_scalar_vector_matches_scalar():
     lams = np.array([1.0, 3.7, 1e5, 1e12])
     vec = eval_scalar(form, lams)
     assert vec.tolist() == [eval_scalar(form, x) for x in lams]
-    with pytest.raises(ValueError, match="lambda out of range"):
-        eval_scalar(form, 0.5)
+    for bad in (0.5, [2.0, math.nan], [math.inf, 2.0]):
+        with pytest.raises(ValueError, match="lambda out of range"):
+            eval_scalar(form, bad)
     # terms() states the summation order once: k1 + k2 terms, family 1 first
     form = build_rational(0.75, plan_equalized(60, 0.75))
     terms = list(form.terms())
