@@ -52,9 +52,7 @@ def _cell(x) -> str:
     return repr(float(x))
 
 
-def _emit(header: str, rows, out: str | None):
-    lines = [header]
-    lines.extend(",".join(_cell(x) for x in row) for row in rows)
+def _write(lines, out: str | None):
     text = "\n".join(lines) + "\n"
     if out:
         Path(out).write_text(text)
@@ -62,12 +60,8 @@ def _emit(header: str, rows, out: str | None):
         sys.stdout.write(text)
 
 
-def _emit_vector(vec, out: str | None):
-    text = "\n".join(repr(float(x)) for x in vec) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _emit(header: str, rows, out: str | None):
+    _write([header, *(",".join(_cell(x) for x in row) for row in rows)], out)
 
 
 def parse_operator(spec: str):
@@ -146,24 +140,23 @@ def _cmd_scalar_error(args):
 def _cmd_matrix_error(args):
     op = parse_operator(args.op)
     post = op.lambda_min ** (-args.alpha)
-    diagonal = isinstance(op, DiagonalOperator)
-    if diagonal:
+    if op.diagonal:
         scaled_eigs = op.spectrum() / op.lambda_min
+
+        def error(form):
+            return post * oracle_diag_norm_error(scaled_eigs, form)
     else:
-        a = op.to_dense()
-        w, v = eigh(a)
+        w, v = eigh(op.to_dense())
         exact_power = (v * w ** (-args.alpha)) @ v.T
+
+        def error(form):
+            approx = dense_fractional_inverse(op, form, parallel=args.parallel)
+            return float(np.linalg.norm(exact_power - approx, 2))
     rows = []
     for n in range(1, args.nmax + 1):
         plan = _plan_for(args.variant, n, args.alpha)
-        form = build_rational(args.alpha, plan)
-        if diagonal:
-            err = post * oracle_diag_norm_error(scaled_eigs, args.alpha, form)
-        else:
-            approx = dense_fractional_inverse(op, form, parallel=args.parallel)
-            err = float(np.linalg.norm(exact_power - approx, 2))
         est = post * estimate_operator_error(n, args.alpha).value
-        rows.append((n, plan.predicted_inversions, err, est))
+        rows.append((n, plan.predicted_inversions, error(build_rational(args.alpha, plan)), est))
     _emit("n,inversions,error,estimate", rows, args.out)
     return 0
 
@@ -176,7 +169,7 @@ def _cmd_apply(args):
         b = np.random.default_rng(args.seed).standard_normal(op.dimension)
     form = build_rational(args.alpha, _plan_for(args.variant, args.n, args.alpha))
     x = apply_fractional_inverse(op, b, form, parallel=args.parallel)
-    _emit_vector(x, args.out)
+    _write(map(_cell, x), args.out)
     return 0
 
 
@@ -206,7 +199,7 @@ def _cmd_compare(args):
             if n is not None:
                 plan = _plan_for(variant, n, args.alpha)
                 form = build_rational(args.alpha, plan)
-                err = post * oracle_diag_norm_error(scaled, args.alpha, form)
+                err = post * oracle_diag_norm_error(scaled, form)
                 rows.append((variant, plan.predicted_inversions, err))
         err = post * sinc_baseline_error(scaled, args.alpha, budget)
         rows.append(("sinc", budget, err))

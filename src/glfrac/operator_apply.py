@@ -12,6 +12,7 @@ import math
 import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal, solveh_banded
@@ -58,8 +59,11 @@ class OperatorHandle(ABC):
     (sigma I + tau L) X = B, where B is a vector (dim,) or a block
     (dim, r) whose columns are solved alike. The public shifted_solve
     wrapper counts every solve (thread-safe), which is what the
-    inversion-accounting tests read back.
+    inversion-accounting tests read back. The class attribute diagonal is
+    True when a form acts entrywise on spectrum(), as on diag(eigenvalues).
     """
+
+    diagonal = False
 
     def __init__(self, dimension: int, lambda_min: float):
         dimension = int(dimension)
@@ -106,6 +110,8 @@ class OperatorHandle(ABC):
 
 class DiagonalOperator(OperatorHandle):
     """diag(eigenvalues); solves are row-wise divisions."""
+
+    diagonal = True
 
     def __init__(self, eigenvalues):
         eigenvalues = np.asarray(eigenvalues, dtype=float)
@@ -309,9 +315,9 @@ def apply_fractional_inverse(
 
     B is a vector (dim,) or a block (dim, r). A node's solve against
     L / lambda_min is the solve (sigma I + (tau / lambda_min) L) X = B.
-    The solves are independent and may run on a thread pool, but each
-    solution is added to the sum in the order of form.terms(), so parallel
-    output is bit-identical to serial output.
+    The solves are independent and may run on a thread pool; either way one
+    loop adds each solution to the sum in the order of form.terms(), so
+    parallel output is bit-identical to serial output.
     """
     b = op._check_rhs(b)
     bad = ~np.isfinite(b)
@@ -326,13 +332,10 @@ def apply_fractional_inverse(
             raise RuntimeError(f"shifted solve failed (family {fam}, node {j}): {exc}") from exc
 
     acc = np.zeros(b.shape)
-    if parallel:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for term, sol in zip(form.terms(), pool.map(solve, form.terms())):
-                acc += term[2] * sol
-    else:
-        for term in form.terms():
-            acc += term[2] * solve(term)
+    with ThreadPoolExecutor(max_workers=max_workers) if parallel else nullcontext() as pool:
+        solutions = map(solve, form.terms()) if pool is None else pool.map(solve, form.terms())
+        for term, sol in zip(form.terms(), solutions):
+            acc += term[2] * sol
     return op.lambda_min ** (-form.alpha) * acc
 
 

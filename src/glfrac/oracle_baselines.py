@@ -130,20 +130,19 @@ def oracle_integral(
     return OracleResult(v1 + v2, e1 + e2 + math.exp(-X_CUT), n1 + n2)
 
 
-def oracle_diag_norm_error(eigenvalues, alpha: float, form: RationalForm) -> float:
-    """Operator-norm error on a diagonal spectrum in [1, inf).
+def oracle_diag_norm_error(eigenvalues, form: RationalForm) -> float:
+    """Operator-norm error of form against lambda**(-form.alpha) on a spectrum in [1, inf).
 
     For a self-adjoint operator the approximation error in the 2-norm is
     the worst scalar error over the spectrum, so diagonal spectra give
     the exact operator-norm error with no linear algebra.
     """
-    alpha = check_alpha(alpha)
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if eigenvalues.ndim != 1 or eigenvalues.size == 0:
         raise ValueError("eigenvalues must be a nonempty vector")
     if not (np.all(eigenvalues >= 1.0) and np.all(np.isfinite(eigenvalues))):
         raise ValueError("lambda out of range [1, inf)")
-    exact = np.exp(-alpha * np.log(eigenvalues))
+    exact = np.exp(-form.alpha * np.log(eigenvalues))
     return float(np.max(np.abs(exact - eval_scalar(form, eigenvalues))))
 
 

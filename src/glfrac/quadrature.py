@@ -22,15 +22,17 @@ N_MAX = 2048
 
 
 class OrderOutOfRangeError(ValueError):
-    """Requested rule order lies outside [1, N_MAX]."""
+    """Requested rule order is not an integer in [1, N_MAX]."""
 
 
 def check_order(n: int) -> int:
-    """Validate a rule order 1 <= n <= N_MAX, returning it as int."""
-    n = int(n)
-    if not 1 <= n <= N_MAX:
-        raise OrderOutOfRangeError("order out of range")
-    return n
+    """The one order rule: an int, numpy integer or integral float in [1, N_MAX], returned as int.
+
+    Anything else (0, 5.5, NaN, inf) raises OrderOutOfRangeError naming the value; none is truncated.
+    """
+    if not (1 <= n <= N_MAX and n == int(n)):
+        raise OrderOutOfRangeError(f"order out of range: {n!r} is not an integer in [1, {N_MAX}]")
+    return int(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +109,7 @@ def _build_rule(n: int) -> QuadratureRule:
 
 
 def tail_weight_sum(rule: QuadratureRule, k: int) -> float:
-    """Sum of the weights dropped when only the first k nodes are kept."""
-    k = int(k)
-    if not 0 <= k <= rule.order:
-        raise ValueError("retained count must lie in [0, order]")
-    return float(rule.weights[k:].sum())
+    """Sum of the weights dropped when only the first k nodes are kept, k an integer in [0, order]."""
+    if not (0 <= k <= rule.order and k == int(k)):
+        raise ValueError(f"retained count must be an integer in [0, order]: {k!r}")
+    return float(rule.weights[int(k):].sum())

@@ -96,6 +96,7 @@ def _g1_at_u(n: int, alpha: float, u):
 
 def g1(n: int, alpha: float, lam):
     """Slow-family error profile lambda**(-alpha) * exp(-gamma_minus * sqrt(2 alpha nbar))."""
+    n = check_order(n)
     alpha = check_alpha(alpha)
     arr, scalar = _as_lambda(lam)
     out = _g1_at_u(n, alpha, np.log(arr))
@@ -104,9 +105,10 @@ def g1(n: int, alpha: float, lam):
 
 def g2(n: int, alpha: float, lam):
     """Fast-family error profile lambda**(-alpha) * exp(-gamma_plus * sqrt(2 (1-alpha) nbar))."""
+    n = check_order(n)
     alpha = check_alpha(alpha)
     arr, scalar = _as_lambda(lam)
-    _, gp = gamma_pm(arr)
+    _, gp = _gamma_pm_at_u(np.log(arr))
     nbar = 4.0 * n + 2.0
     out = arr ** (-alpha) * np.exp(-gp * math.sqrt(2.0 * (1.0 - alpha) * nbar))
     return float(out) if scalar else out
@@ -163,9 +165,7 @@ def lambda_n_exact(n: int, alpha: float) -> float:
     alpha at large n), so estimate_operator_error works in u.
     """
     alpha = check_alpha(alpha)
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = check_order(n)
     return math.exp(_ln_lambda_n(n, alpha))
 
 
@@ -177,9 +177,7 @@ def lambda_n_tilde(n: int, alpha: float) -> float:
     Only the tests call it; it overflows at tiny alpha like lambda_n_exact.
     """
     alpha = check_alpha(alpha)
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = check_order(n)
     radicand = _tilde_radicand(n, alpha)
     if radicand < 0.0:
         raise ValueError("n too small")

@@ -99,7 +99,7 @@ def test_criterion_03_operator_convergence_diag_power():
         ns, logs = [], []
         for n in range(5, 61):
             form = build_rational(alpha, plan_full(n))
-            err = oracle_diag_norm_error(DIAG_EIGS, alpha, form)
+            err = oracle_diag_norm_error(DIAG_EIGS, form)
             if n >= 10:
                 worst = max(worst, err / estimate_operator_error(n, alpha).value)
             ns.append(n)
@@ -124,8 +124,8 @@ def test_criterion_04_balanced_truncation():
     plan = plan_balanced(n, alpha)
     form_full = build_rational(alpha, plan_full(n))
     form_bal = build_rational(alpha, plan)
-    err_full = oracle_diag_norm_error(DIAG_EIGS, alpha, form_full)
-    err_bal = oracle_diag_norm_error(DIAG_EIGS, alpha, form_bal)
+    err_full = oracle_diag_norm_error(DIAG_EIGS, form_full)
+    err_bal = oracle_diag_norm_error(DIAG_EIGS, form_bal)
     rule = gauss_laguerre(n)
     pref = math.sin(alpha * math.pi) / (alpha * math.pi) + math.sin(alpha * math.pi) / ((1 - alpha) * math.pi)
     tail_bound = pref * tail_weight_sum(rule, plan.k1)
@@ -150,7 +150,7 @@ def test_criterion_05_equalized_truncation():
         bal = plan_balanced(n, alpha)
         eq = plan_equalized(n, alpha)
         form = build_rational(alpha, eq)
-        err = oracle_diag_norm_error(DIAG_EIGS, alpha, form)
+        err = oracle_diag_norm_error(DIAG_EIGS, form)
         bal_est = estimate_balanced_error(bal.k1, alpha)
         fewer_ok = eq.predicted_inversions < bal.predicted_inversions
         err_ok = err <= 3.0 * bal_est

@@ -253,6 +253,12 @@ def test_block_solve_matches_column_solves(kind):
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense", "kronecker"])
+def test_diagonal_flag(kind):
+    # a form acts entrywise on spectrum() only for the diagonal handle
+    assert _handles()[kind].diagonal is (kind == "diagonal")
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense", "kronecker"])
 def test_spectrum_ascending(kind):
     op = _handles()[kind]
     w = op.spectrum()

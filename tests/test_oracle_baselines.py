@@ -81,15 +81,23 @@ def test_quadrature_agrees_with_oracle_within_estimate():
 def test_diag_norm_error_definition():
     eigs = np.array([1.0, 7.0, 123.0])
     form = build_rational(0.5, plan_full(12))
-    got = oracle_diag_norm_error(eigs, 0.5, form)
+    got = oracle_diag_norm_error(eigs, form)
     expected = max(abs(oracle_scalar_power(e, 0.5) - eval_scalar(form, e)) for e in eigs)
     # libm and vectorized numpy powers differ by an ulp, nothing more
     assert math.isclose(got, expected, rel_tol=1e-12)
-    single = oracle_diag_norm_error(np.array([1.0]), 0.5, form)
+    single = oracle_diag_norm_error(np.array([1.0]), form)
     assert single == abs(1.0 - eval_scalar(form, 1.0))
     for bad in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="lambda out of range"):
-            oracle_diag_norm_error(np.array([1.0, bad]), 0.5, form)
+            oracle_diag_norm_error(np.array([1.0, bad]), form)
+
+
+def test_diag_norm_error_uses_the_forms_alpha():
+    eigs = np.arange(1.0, 101.0) ** 8
+    for alpha in (0.25, 0.75):
+        form = build_rational(alpha, plan_full(30))
+        direct = float(np.max(np.abs(eigs ** (-form.alpha) - eval_scalar(form, eigs))))
+        assert oracle_diag_norm_error(eigs, form) == pytest.approx(direct, rel=1e-12)
 
 
 @given(perm_seed=st.integers(0, 1000))
@@ -98,7 +106,7 @@ def test_diag_norm_error_permutation_invariant(perm_seed):
     eigs = np.array([1.0, 2.0, 9.0, 64.0, 1e5])
     form = build_rational(0.25, plan_full(10))
     shuffled = rng.permutation(eigs)
-    assert oracle_diag_norm_error(eigs, 0.25, form) == oracle_diag_norm_error(shuffled, 0.25, form)
+    assert oracle_diag_norm_error(eigs, form) == oracle_diag_norm_error(shuffled, form)
 
 
 def test_sinc_validation():
@@ -136,7 +144,7 @@ def test_balanced_beats_sinc_at_matched_budgets(capsys):
         n = max(m for m in range(1, 400) if plan_balanced(m, alpha).predicted_inversions <= budget)
         plan = plan_balanced(n, alpha)
         form = build_rational(alpha, plan)
-        bal_err = oracle_diag_norm_error(eigs, alpha, form)
+        bal_err = oracle_diag_norm_error(eigs, form)
         print(
             f"budget {budget}: balanced({plan.predicted_inversions} solves) {bal_err:.3e}"
             f" vs sinc({budget} solves) {sinc_err:.3e}"

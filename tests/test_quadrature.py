@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,9 +69,9 @@ def test_nodes_ascending_and_positive():
         assert np.all(np.diff(r.nodes) > 0.0)
 
 
-@pytest.mark.parametrize("n", [0, -3, N_MAX + 1])
+@pytest.mark.parametrize("n", [0, -3, N_MAX + 1, 5.5, 2.9, math.nan, math.inf])
 def test_order_out_of_range(n):
-    with pytest.raises(OrderOutOfRangeError, match="order out of range"):
+    with pytest.raises(OrderOutOfRangeError, match=rf"order out of range: {re.escape(repr(n))} is not an integer"):
         gauss_laguerre(n)
 
 
@@ -89,6 +90,10 @@ def test_tail_weight_sum_endpoints():
     assert tail_weight_sum(r, 40) == 0.0
     with pytest.raises(ValueError):
         tail_weight_sum(r, 41)
+    assert tail_weight_sum(r, 2.0) == tail_weight_sum(r, 2)
+    for bad in (2.5, -0.5, math.nan):
+        with pytest.raises(ValueError, match="retained count must be an integer"):
+            tail_weight_sum(r, bad)
 
 
 def test_tail_weight_frozen_values():

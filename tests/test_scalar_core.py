@@ -167,6 +167,36 @@ def test_estimate_refuses_orders_no_plan_can_build():
             estimate_operator_error(n, 0.5)
         with pytest.raises(OrderOutOfRangeError, match="order out of range"):
             plan_full(n)
+    for f in (lambda_n_exact, lambda_n_tilde):
+        with pytest.raises(OrderOutOfRangeError, match="order out of range"):
+            f(N_MAX + 1, 0.5)
+
+
+@pytest.mark.parametrize("f, n", [
+    (lambda n: plan_full(n), 2.9),
+    (lambda n: plan_balanced(n, 0.5), 5.5),
+    (lambda n: plan_equalized(n, 0.5), 5.5),
+    (lambda n: estimate_operator_error(n, 0.5), 3.7),
+    (lambda n: lambda_n_exact(n, 0.5), 2.5),
+    (lambda n: lambda_n_tilde(n, 0.5), 30.5),
+    (lambda n: g1(n, 0.5, 10.0), 0),
+    (lambda n: g1(n, 0.5, 10.0), -1),
+    (lambda n: g1(n, 0.5, 10.0), 2.5),
+    (lambda n: g2(n, 0.5, 10.0), 2.5),
+    (lambda n: estimate_scalar_error(n, 0.5, 10.0), math.nan),
+], ids=["plan_full", "plan_balanced", "plan_equalized", "estimate_operator_error", "lambda_n_exact",
+        "lambda_n_tilde", "g1-0", "g1-neg", "g1-frac", "g2-frac", "estimate_scalar_error-nan"])
+def test_every_order_goes_through_one_rule(f, n):
+    # non-integral orders are refused, never truncated
+    with pytest.raises(OrderOutOfRangeError, match="order out of range"):
+        f(n)
+
+
+def test_integral_orders_of_any_type_agree():
+    for n in (np.int64(30), 30.0):
+        assert plan_full(n) == plan_full(30)
+        assert estimate_operator_error(n, 0.5) == estimate_operator_error(30, 0.5)
+        assert g1(n, 0.5, 10.0) == g1(30, 0.5, 10.0)
 
 
 def test_estimate_branch_switch_blip_frozen():
