@@ -15,6 +15,7 @@ small colon-separated mini-language:
 import argparse
 import sys
 from bisect import bisect_right
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,7 @@ def _plan_for(variant: str, n: int, alpha: float):
 
 def _cmd_nodes(args):
     rule = gauss_laguerre(args.n)
-    rows = [(j + 1, rule.nodes[j], rule.weights[j]) for j in range(rule.order)]
+    rows = zip(range(1, rule.order + 1), rule.nodes.tolist(), rule.weights.tolist())
     _emit("j,theta,weight", rows, args.out)
     return 0
 
@@ -208,7 +209,9 @@ def _cmd_compare(args):
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="glfrac", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

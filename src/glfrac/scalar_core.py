@@ -13,6 +13,7 @@ planning. Operator plumbing lives in operator_apply.
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +61,7 @@ def check_alpha(alpha: float) -> float:
 def _as_lambda(lam):
     """Validate finite lambda >= 1 and report whether the input was scalar."""
     arr = np.asarray(lam, dtype=float)
-    if not (np.all(arr >= 1.0) and np.all(np.isfinite(arr))):
+    if not ((arr >= 1.0).all() and np.isfinite(arr).all()):
         raise ValueError("lambda out of range [1, inf)")
     return arr, arr.ndim == 0
 
@@ -103,20 +104,32 @@ def g1(n: int, alpha: float, lam):
     return float(out) if scalar else out
 
 
+def _g2_at(n: int, alpha: float, lam, u):
+    """g2 at lambda = lam, with u = ln(lam) supplied by the caller."""
+    _, gp = _gamma_pm_at_u(u)
+    return lam ** (-alpha) * np.exp(-gp * math.sqrt(2.0 * (1.0 - alpha) * (4.0 * n + 2.0)))
+
+
 def g2(n: int, alpha: float, lam):
     """Fast-family error profile lambda**(-alpha) * exp(-gamma_plus * sqrt(2 (1-alpha) nbar))."""
     n = check_order(n)
     alpha = check_alpha(alpha)
     arr, scalar = _as_lambda(lam)
-    _, gp = _gamma_pm_at_u(np.log(arr))
-    nbar = 4.0 * n + 2.0
-    out = arr ** (-alpha) * np.exp(-gp * math.sqrt(2.0 * (1.0 - alpha) * nbar))
+    out = _g2_at(n, alpha, arr, np.log(arr))
     return float(out) if scalar else out
 
 
 def estimate_scalar_error(n: int, alpha: float, lam):
-    """Pointwise a-priori bound 4 sin(alpha pi) (g1 + g2) at lambda >= 1."""
-    return 4.0 * math.sin(check_alpha(alpha) * _PI) * (g1(n, alpha, lam) + g2(n, alpha, lam))
+    """Pointwise a-priori bound 4 sin(alpha pi) (g1 + g2) at lambda >= 1.
+
+    Lambda is validated and its log taken once, for both profiles.
+    """
+    alpha = check_alpha(alpha)
+    n = check_order(n)
+    arr, scalar = _as_lambda(lam)
+    u = np.log(arr)
+    out = 4.0 * math.sin(alpha * _PI) * (_g1_at_u(n, alpha, u) + _g2_at(n, alpha, arr, u))
+    return float(out) if scalar else out
 
 
 def _ln_lambda_n(n: int, alpha: float) -> float:
@@ -369,7 +382,7 @@ class RationalForm:
 
     Family 1 contributes coeffs1[j] / (1 + shifts1[j] * lambda) and
     family 2 contributes coeffs2[j] / (shifts2[j] + lambda), nodes
-    ascending within each family. terms() is the one statement of the
+    ascending within each family. term_arrays is the one statement of the
     order in which every evaluation sums them, so all are bit-reproducible.
     """
 
@@ -391,24 +404,38 @@ class RationalForm:
         if self.coeffs2.shape != (self.k2,) or self.shifts2.shape != (self.k2,):
             raise ValueError("family 2 arrays must have length k2")
         # trailing weights underflow to exact zeros at large orders
-        if not (np.all(self.coeffs1 >= 0.0) and np.all(self.coeffs2 >= 0.0)):
+        if not ((self.coeffs1 >= 0.0).all() and (self.coeffs2 >= 0.0).all()):
             raise ValueError("coefficients must be nonnegative")
         if self.coeffs1[0] <= 0.0 or self.coeffs2[0] <= 0.0:
             raise ValueError("leading coefficients must be positive")
         for shifts in (self.shifts1, self.shifts2):
-            if not (np.all(shifts >= 0.0) and np.all(shifts < 1.0)):
+            if not ((shifts >= 0.0).all() and (shifts < 1.0).all()):
                 raise ValueError("shifts must lie in [0, 1)")
 
-    def terms(self):
-        """Yield (family, node, c, sigma, tau) per term c / (sigma + tau lambda).
+    @cached_property
+    def term_arrays(self) -> np.ndarray:
+        """Read-only (3, k1 + k2) rows c, sigma, tau; term i is c[i] / (sigma[i] + tau[i] lambda).
 
         Family 1, with (sigma, tau) = (1.0, d), comes first, then family 2,
-        with (s, 1.0); nodes ascend and are numbered from 1 in each family.
+        with (s, 1.0); nodes ascend within each family.
         """
-        for j, (c, d) in enumerate(zip(self.coeffs1.tolist(), self.shifts1.tolist()), start=1):
-            yield 1, j, c, 1.0, d
-        for j, (c, s) in enumerate(zip(self.coeffs2.tolist(), self.shifts2.tolist()), start=1):
-            yield 2, j, c, s, 1.0
+        k1 = self.k1
+        arrays = np.ones((3, k1 + self.k2))
+        arrays[0, :k1] = self.coeffs1
+        arrays[0, k1:] = self.coeffs2
+        arrays[1, k1:] = self.shifts2
+        arrays[2, :k1] = self.shifts1
+        arrays.setflags(write=False)
+        return arrays
+
+    def terms(self):
+        """Yield (family, node, c, sigma, tau) per term of term_arrays, in order.
+
+        Nodes are numbered from 1 in each family.
+        """
+        c, sigma, tau = self.term_arrays
+        for i, term in enumerate(zip(c.tolist(), sigma.tolist(), tau.tolist())):
+            yield (1, i + 1, *term) if i < self.k1 else (2, i + 1 - self.k1, *term)
 
 
 def build_rational(alpha: float, plan: TruncationPlan) -> RationalForm:
@@ -441,16 +468,38 @@ def build_rational(alpha: float, plan: TruncationPlan) -> RationalForm:
     )
 
 
-def eval_scalar(form: RationalForm, lam):
-    """Evaluate the rational form at lambda >= 1 (scalar or array).
+# Largest (lambda points) x (terms) array eval_scalar forms at once: 2**15
+# doubles, 256 KB, well inside the 2 MB L2 per core of the 2-vCPU host it was
+# timed on. Forming the array saves about 3.5 us of per-term overhead but
+# costs more per element: at 280 terms, 117 points took 0.24 ms at once
+# against 0.77-0.92 ms term by term, and 468 points 1.9-2.2 ms against 1.3-1.5.
+_ONE_SHOT_ELEMENTS = 2**15
 
-    Terms are summed in the order of form.terms(), so evaluations are
-    bit-identical; a scalar is summed in Python floats, which round as numpy
-    does. All terms are positive, and so is the value.
+
+def eval_scalar(form: RationalForm, lam):
+    """Evaluate the rational form at lambda >= 1 (scalar or array, any shape).
+
+    Each term is c / (sigma + tau * lambda), and the terms are summed left to
+    right in the order of form.term_arrays, so evaluations are bit-identical.
+    Up to _ONE_SHOT_ELEMENTS the (points, terms) array is formed at once and
+    summed by np.add.accumulate, which adds strictly in order (np.add.reduce
+    may sum pairwise and change bits); larger inputs go term by term in two
+    preallocated buffers. All terms are positive, and so is the value.
     """
     arr, scalar = _as_lambda(lam)
-    x = float(arr) if scalar else arr
-    acc = 0.0
-    for _, _, c, sigma, tau in form.terms():
-        acc = acc + c / (sigma + tau * x)
-    return acc
+    c, sigma, tau = form.term_arrays
+    if c.size * arr.size <= _ONE_SHOT_ELEMENTS:
+        t = tau * arr.reshape(-1, 1)
+        t += sigma
+        np.divide(c, t, out=t)
+        # copied, so that the result does not hold on to the whole array
+        out = np.add.accumulate(t, axis=1)[:, -1].reshape(arr.shape).copy()
+    else:
+        out = np.zeros_like(arr)
+        buf = np.empty_like(arr)
+        for ci, si, ti in zip(c.tolist(), sigma.tolist(), tau.tolist()):
+            np.multiply(arr, ti, out=buf)
+            buf += si
+            np.divide(ci, buf, out=buf)
+            out += buf
+    return float(out) if scalar else out

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -19,7 +20,9 @@ from glfrac import (
     plan_equalized,
     plan_full,
 )
-from glfrac.cli import _largest_n_with_budget, main, parse_operator
+from glfrac.cli import _build_parser, _largest_n_with_budget, main, parse_operator
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(tmp_path, *argv, name="out.csv"):
@@ -178,6 +181,23 @@ def test_bad_inputs_exit_nonzero(tmp_path, capsys):
     assert "alpha=1e-310, n=2048" in capsys.readouterr().err
 
 
+def test_main_reuses_one_parser(capsys):
+    argv = ["matrix-error", "--alpha", "0.5", "--nmax", "3", "--op", "diagpow:10:2", "--variant", "balanced"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert _build_parser() is _build_parser()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    # argparse still refuses a bad argv after a good one, and the next good one still runs
+    for bad in (["matrix-error", "--alpha", "0.5"], ["nodes", "--n", "x"], ["no-such-verb"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_tiny_alpha_exits_zero(capsys):
     assert main(["estimate", "--alpha", "1e-6", "--n", "2048"]) == 0
     assert capsys.readouterr().out.startswith("n,estimate,branch\n2048,1.2464087761130")
@@ -250,9 +270,25 @@ def test_run_figures_writes_cli_tables(tmp_path, monkeypatch):
         assert (again / first.name).read_bytes() == first.read_bytes()
 
 
+def _env_with_src():
+    src = str(ROOT / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_digests_hash_each_table(capsys):
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "cli_digests.py")],
+                          capture_output=True, text=True, check=True, env=_env_with_src())
+    lines = [line.split(" ", 2) for line in proc.stdout.splitlines()]
+    assert all(len(digest) == 64 and rc == "0" for digest, rc, _ in lines)
+    assert sum(name.startswith("run_figures/") for _, _, name in lines) == 11
+    by_name = {name: digest for digest, _, name in lines}
+    argv = ["select-n", "--alpha", "0.5", "--tol", "1e-8"]
+    assert main(argv) == 0
+    assert by_name[" ".join(argv)] == hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
 def test_import_leaves_scipy_optimize_unloaded():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _env_with_src()
     code = "import sys, glfrac, glfrac.cli; print('scipy.optimize' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert proc.stdout.strip() == "False"

@@ -53,6 +53,35 @@ def test_gamma_rejects_below_one():
             estimate_scalar_error(10, 0.5, [2.0, bad])
 
 
+def test_lambda_checks_refuse_nan_and_accept_empty():
+    form = build_rational(0.5, plan_full(4))
+    for f in (lambda lam: gamma_pm(lam)[1], lambda lam: g1(4, 0.5, lam), lambda lam: g2(4, 0.5, lam),
+              lambda lam: estimate_scalar_error(4, 0.5, lam), lambda lam: eval_scalar(form, lam)):
+        for bad in (math.nan, [2.0, math.nan], [[3.0], [math.nan]], -math.inf, [1.0, math.inf], 0.5):
+            with pytest.raises(ValueError, match="lambda out of range"):
+                f(bad)
+        for empty in (np.empty(0), np.empty((0, 3)), []):
+            assert np.shape(f(empty)) == np.shape(empty)
+
+
+@pytest.mark.parametrize("alpha", (0.02, 0.25, 0.5, 0.75, 0.98))
+def test_scalar_estimate_bits_on_a_grid(alpha):
+    # transliterations of g1, g2 and 4 sin(alpha pi) (g1 + g2), equal to the last bit
+    lams = np.array([1.0, 1.5, 10.0, 1e4, 1e9, 1e16])
+    u = np.log(lams)
+    gp = np.sqrt(np.sqrt(u * u + math.pi * math.pi) + u)
+    for n in (1, 2, 20, 150, 200, 2048):
+        nbar = 4.0 * n + 2.0
+        ref1 = np.exp(-alpha * u - (math.pi / gp) * math.sqrt(2.0 * alpha * nbar))
+        ref2 = lams ** (-alpha) * np.exp(-gp * math.sqrt(2.0 * (1.0 - alpha) * nbar))
+        est = 4.0 * math.sin(alpha * math.pi) * (ref1 + ref2)
+        for f, ref in ((g1, ref1), (g2, ref2), (estimate_scalar_error, est)):
+            assert f(n, alpha, lams).tolist() == ref.tolist()
+            assert f(n, alpha, lams.reshape(2, 3)).tolist() == ref.reshape(2, 3).tolist()
+            scalars = [f(n, alpha, lam) for lam in lams.tolist()]
+            assert all(type(v) is float for v in scalars) and scalars == ref.tolist()
+
+
 @given(u=st.floats(0.0, 36.0))
 def test_gamma_product_is_pi(u):
     gm, gp = gamma_pm(math.exp(u))
@@ -376,6 +405,25 @@ def test_rational_form_validation():
             coeffs2=form.coeffs2, shifts2=form.shifts2,
         )
 
+    def with_entry(arrays, name, j, value):
+        changed = {k: v.copy() for k, v in arrays.items()}
+        changed[name][j] = value
+        return changed
+
+    arrays = {name: getattr(form, name) for name in ("coeffs1", "shifts1", "coeffs2", "shifts2")}
+    for name, j, value, match in (
+        ("coeffs1", 1, math.nan, "nonnegative"),
+        ("coeffs2", 2, -1e-300, "nonnegative"),
+        ("coeffs2", 0, 0.0, "leading coefficients"),
+        ("shifts1", 2, math.nan, r"\[0, 1\)"),
+        ("shifts2", 1, 1.0, r"\[0, 1\)"),
+        ("shifts2", 0, -0.5, r"\[0, 1\)"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            RationalForm(0.5, "full", 3, 3, 3, 3, **with_entry(arrays, name, j, value))
+    # trailing coefficients and shifts may be exact zeros
+    RationalForm(0.5, "full", 3, 3, 3, 3, **with_entry(with_entry(arrays, "coeffs1", 2, 0.0), "shifts2", 2, 0.0))
+
 
 def test_eval_scalar_frozen_point():
     form = build_rational(0.5, plan_full(20))
@@ -401,6 +449,27 @@ def test_eval_scalar_vector_matches_scalar():
     for fam, _, c, sigma, tau in terms:
         acc = acc + (c / (1.0 + tau * lams) if fam == 1 else c / (sigma + lams))
     assert eval_scalar(form, lams).tolist() == acc.tolist()
+    # both evaluation paths, one (points, terms) array up to 2**15 elements and
+    # term by term above, equal a term-by-term sum over terms() to the last bit
+    for form in (build_rational(0.5, plan_full(3)), form, build_rational(0.25, plan_full(200))):
+        terms = list(form.terms())
+        k = len(terms)
+
+        def reference(x):
+            acc = np.zeros_like(x)
+            for _, _, c, sigma, tau in terms:
+                acc = acc + c / (sigma + tau * x)
+            return acc
+
+        sizes = [1, 2, 2**15 // k, 2**15 // k + 1, 1000] + ([100_000] if k < 10 else [])
+        for m in sizes:
+            lams = np.logspace(0.0, 14.0, m)
+            assert eval_scalar(form, lams).tolist() == reference(lams).tolist()
+        for lams in (5.0, np.array(5.0), np.logspace(0.0, 9.0, 12).reshape(3, 4), np.empty(0), np.empty((3, 0))):
+            value = eval_scalar(form, lams)
+            assert np.shape(value) == np.shape(lams)
+            assert np.asarray(value).tolist() == reference(np.asarray(lams)).tolist()
+        assert type(eval_scalar(form, np.array(5.0))) is float
 
 
 def test_eval_scalar_within_estimate_at_one():
