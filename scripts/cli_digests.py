@@ -1,9 +1,11 @@
 """Print one sha256 per CLI table, to show that a change keeps the CLI's bytes.
 
-Runs the benchmark's figure-sweep commands (read from bench/workloads.py)
-and scripts/run_figures.py in-process, through whichever glfrac comes first
-on the import path, and prints "<sha256> <exit code> <table>" per table.
-Comparing two checkouts is then one diff:
+Runs the benchmark's figure-sweep commands (read from bench/workloads.py),
+the apply and matrix-error commands below, each serially and with
+--parallel, and scripts/run_figures.py in-process, through whichever glfrac
+comes first on the import path, and prints "<sha256> <exit code> <table>"
+per table. A --parallel line must equal its serial twin. Comparing two
+checkouts is then one diff:
 
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/cli_digests.py > before.txt
     PYTHONPATH=src python3 scripts/cli_digests.py > after.txt
@@ -15,6 +17,7 @@ The path of the glfrac that ran goes to stderr, outside the diff.
 import contextlib
 import hashlib
 import io
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -26,6 +29,17 @@ import glfrac  # noqa: E402
 import run_figures  # noqa: E402
 from glfrac.cli import main as cli_main  # noqa: E402
 from workloads import FigureSweep  # noqa: E402
+
+# Commands whose output must not depend on --parallel: a vector on a
+# diagonal handle splits into row ranges, the identity blocks of
+# matrix-error's dense inverses into column groups, and a vector on fd1d or
+# fd2d runs as one piece.
+THREADED_COMMANDS = (
+    *(("apply", "--op", op, "--alpha", alpha, "--n", "40", "--variant", variant, "--seed", "5")
+      for op, alpha, variant in itertools.product(("diagpow:20000:2", "fd1d:300", "fd2d:20"), ("0.25", "0.75"),
+                                                  ("balanced", "equalized"))),
+    ("matrix-error", "--alpha", "0.5", "--nmax", "4", "--op", "fd1d:12"),
+)
 
 
 def _sha256(data: bytes) -> str:
@@ -51,7 +65,8 @@ def figure_digests():
 
 def main() -> int:
     print(f"glfrac from {Path(glfrac.__file__).parent}", file=sys.stderr)
-    for line in (*command_digests(FigureSweep.COMMANDS), *figure_digests()):
+    threaded = [variant for argv in THREADED_COMMANDS for variant in (argv, (*argv, "--parallel"))]
+    for line in (*command_digests(FigureSweep.COMMANDS), *command_digests(threaded), *figure_digests()):
         print(line)
     return 0
 

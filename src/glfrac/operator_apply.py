@@ -8,11 +8,13 @@ back by lambda_min**(-alpha), which keeps the scalar error estimates valid
 verbatim.
 """
 
+import copy
 import math
+import numbers
+import os
 import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal, solveh_banded
@@ -57,10 +59,13 @@ class OperatorHandle(ABC):
 
     Concrete handles implement spectrum() and the protected solve of
     (sigma I + tau L) X = B, where B is a vector (dim,) or a block
-    (dim, r) whose columns are solved alike. The public shifted_solve
-    wrapper counts every solve (thread-safe), which is what the
-    inversion-accounting tests read back. The class attribute diagonal is
-    True when a form acts entrywise on spectrum(), as on diag(eigenvalues).
+    (dim, r) whose columns are solved independently: a solve of some of
+    the columns gives the same bits as those columns of a whole-block
+    solve. The public shifted_solve wrapper counts every solve
+    (thread-safe), which is what the inversion-accounting tests read back.
+    The class attribute diagonal is True when a form acts entrywise on
+    spectrum(), as on diag(eigenvalues); then rows are independent too, and
+    a parallel apply splits a vector into the row views that _rows returns.
     """
 
     diagonal = False
@@ -73,16 +78,17 @@ class OperatorHandle(ABC):
             raise ValueError("lambda_min must be positive")
         self.dimension = dimension
         self.lambda_min = float(lambda_min)
-        self._solve_count = 0
+        # one cell, shared with the row views of DiagonalOperator._rows, so their solves count here
+        self._solves = [0]
         self._count_lock = threading.Lock()
 
     @property
     def solve_count(self) -> int:
-        return self._solve_count
+        return self._solves[0]
 
     def reset_solve_count(self):
         with self._count_lock:
-            self._solve_count = 0
+            self._solves[0] = 0
 
     def _check_rhs(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -104,7 +110,7 @@ class OperatorHandle(ABC):
             raise ValueError("shift coefficients must be nonnegative and not both zero")
         b = self._check_rhs(b)
         with self._count_lock:
-            self._solve_count += 1
+            self._solves[0] += 1
         return self._shifted_solve(float(sigma), float(tau), b)
 
 
@@ -128,6 +134,12 @@ class DiagonalOperator(OperatorHandle):
 
     def spectrum(self):
         return np.sort(self.eigenvalues)
+
+    def _rows(self, start: int, stop: int) -> "DiagonalOperator":
+        """diag(eigenvalues[start:stop]) as a view, not validated again; its solves count on this handle."""
+        view = copy.copy(self)
+        view.dimension, view.eigenvalues = stop - start, self.eigenvalues[start:stop]
+        return view
 
     def _shifted_solve(self, sigma, tau, b):
         denom = sigma + tau * self.eigenvalues
@@ -314,29 +326,52 @@ def apply_fractional_inverse(
     """Approximate L**(-alpha) B with one shifted solve per retained node.
 
     B is a vector (dim,) or a block (dim, r). A node's solve against
-    L / lambda_min is the solve (sigma I + (tau / lambda_min) L) X = B.
-    The solves are independent and may run on a thread pool; either way one
-    loop adds each solution to the sum in the order of form.terms(), so
-    parallel output is bit-identical to serial output.
+    L / lambda_min is the solve (sigma I + (tau / lambda_min) L) X = B, and
+    the solutions are added up in the order of form.terms().
+
+    A parallel apply splits B into at most max_workers pieces (default
+    os.cpu_count()) and runs that same loop on each piece, one thread per
+    piece: a block splits into column groups, and a vector on a diagonal
+    handle into row ranges. A vector on any other handle is one piece and
+    runs on the calling thread. Every entry goes through the same operations
+    in the same order either way, so parallel output is bit-identical to
+    serial output. op counts the solves of every piece: p pieces make
+    p * (k1 + k2) solves.
     """
+    if max_workers is not None and not (isinstance(max_workers, numbers.Integral) and max_workers >= 1):
+        raise ValueError(f"max_workers must be None or an integer >= 1, got {max_workers!r}")
     b = op._check_rhs(b)
     bad = ~np.isfinite(b)
     if bad.any():
         raise ValueError(f"right-hand side must be finite: {int(bad.sum())} of {b.size} entries are NaN or inf")
+    scale = op.lambda_min ** (-form.alpha)
+    out = np.zeros(b.shape)
 
-    def solve(term):
-        fam, j, _, sigma, tau = term
-        try:
-            return op.shifted_solve(sigma, tau / op.lambda_min, b)
-        except Exception as exc:
-            raise RuntimeError(f"shifted solve failed (family {fam}, node {j}): {exc}") from exc
+    def accumulate(handle, index):
+        rhs, acc = b[index], out[index]
+        for fam, j, c, sigma, tau in form.terms():
+            try:
+                sol = handle.shifted_solve(sigma, tau / op.lambda_min, rhs)
+            except Exception as exc:
+                raise RuntimeError(f"shifted solve failed (family {fam}, node {j}): {exc}") from exc
+            acc += c * sol
+        acc *= scale
 
-    acc = np.zeros(b.shape)
-    with ThreadPoolExecutor(max_workers=max_workers) if parallel else nullcontext() as pool:
-        solutions = map(solve, form.terms()) if pool is None else pool.map(solve, form.terms())
-        for term, sol in zip(form.terms(), solutions):
-            acc += term[2] * sol
-    return op.lambda_min ** (-form.alpha) * acc
+    workers = (max_workers or os.cpu_count() or 1) if parallel else 1
+    extent = b.shape[1] if b.ndim == 2 else op.dimension if op.diagonal else 1
+    p = max(1, min(workers, extent))
+    if p == 1:
+        accumulate(op, ...)
+        return out
+    bounds = [i * extent // p for i in range(p + 1)]
+    if b.ndim == 2:
+        pieces = [(op, np.s_[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    else:
+        pieces = [(op._rows(lo, hi), np.s_[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    with ThreadPoolExecutor(max_workers=p) as pool:
+        for future in [pool.submit(accumulate, *piece) for piece in pieces]:
+            future.result()
+    return out
 
 
 def dense_fractional_inverse(op: OperatorHandle, form: RationalForm, parallel: bool = False) -> np.ndarray:

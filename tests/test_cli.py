@@ -110,6 +110,15 @@ def test_apply_seeded_rhs_deterministic(tmp_path):
     assert len(first.strip().split("\n")) == 10
 
 
+def test_apply_parallel_prints_serial_bytes(capsys):
+    # a vector on a diagonal handle splits into row ranges when parallel
+    argv = ["apply", "--op", "diagpow:5000:2", "--alpha", "0.5", "--n", "20", "--seed", "3"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    assert main([*argv, "--parallel"]) == 0
+    assert capsys.readouterr().out == serial and len(serial.splitlines()) == 5000
+
+
 def test_apply_rhs_file_matches_library(tmp_path):
     rhs = tmp_path / "rhs.txt"
     b = np.arange(1.0, 9.0)
@@ -282,6 +291,9 @@ def test_cli_digests_hash_each_table(capsys):
     assert all(len(digest) == 64 and rc == "0" for digest, rc, _ in lines)
     assert sum(name.startswith("run_figures/") for _, _, name in lines) == 11
     by_name = {name: digest for digest, _, name in lines}
+    threaded = [name for name in by_name if name.endswith(" --parallel")]
+    assert len(threaded) == 13
+    assert all(by_name[name] == by_name[name.removesuffix(" --parallel")] for name in threaded)
     argv = ["select-n", "--alpha", "0.5", "--tol", "1e-8"]
     assert main(argv) == 0
     assert by_name[" ".join(argv)] == hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from glfrac import (
     estimate_scalar_error,
     eval_scalar,
     gauss_laguerre,
+    operator_apply,
     plan_balanced,
     plan_equalized,
     plan_full,
@@ -81,6 +83,83 @@ def test_parallel_output_bit_identical():
     op.reset_solve_count()
     apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
     assert op.solve_count == 60
+    # B splits into pieces (column groups of a block, row ranges of a vector on a
+    # diagonal handle); each piece runs the whole term loop, counted on op
+    handles = {**_handles(), "diagonal-10k": builtin_operator("diag-power", size=10_000, exponent=2.0)}
+    form = _form(0.75, 20, "equalized")
+    terms = form.k1 + form.k2
+    rng = np.random.default_rng(3)
+    for name, op in handles.items():
+        for r in (None, 0, 1, 4):
+            b = rng.standard_normal(op.dimension if r is None else (op.dimension, r))
+            op.reset_solve_count()
+            serial = apply_fractional_inverse(op, b, form)
+            assert op.solve_count == terms
+            extent = op.dimension if r is None and op.diagonal else 1 if r is None else r
+            for workers in (1, 2, 3, 4):
+                op.reset_solve_count()
+                threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=workers)
+                assert threaded.shape == serial.shape and np.array_equal(threaded, serial), (name, r, workers)
+                assert op.solve_count == max(1, min(workers, extent)) * terms, (name, r, workers)
+
+
+def test_parallel_row_pieces_are_unvalidated_diagonal_views(monkeypatch):
+    op = builtin_operator("diag-power", size=1000, exponent=2.0)
+    solved_by, inits = [], []
+    original_solve, original_init = DiagonalOperator.shifted_solve, DiagonalOperator.__init__
+
+    def shifted_solve(self, sigma, tau, b):
+        solved_by.append((type(self), self.dimension))
+        return original_solve(self, sigma, tau, b)
+
+    def init(self, *args, **kwargs):
+        inits.append(args)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiagonalOperator, "shifted_solve", shifted_solve)
+    monkeypatch.setattr(DiagonalOperator, "__init__", init)
+    form = _form(0.5, 10)
+    apply_fractional_inverse(op, np.ones(1000), form, parallel=True, max_workers=3)
+    assert sorted(set(solved_by)) == [(DiagonalOperator, 333), (DiagonalOperator, 334)]
+    assert len(solved_by) == 3 * (form.k1 + form.k2) and inits == []
+
+
+def test_parallel_coupled_vector_runs_without_a_pool(monkeypatch):
+    monkeypatch.setattr(operator_apply, "ThreadPoolExecutor", None)
+    form = _form(0.5, 10)
+    for kind in ("tridiagonal", "dense", "kronecker"):
+        op = _handles()[kind]
+        b = np.random.default_rng(2).standard_normal(op.dimension)
+        threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
+        assert np.array_equal(threaded, apply_fractional_inverse(op, b, form))
+
+
+def test_parallel_solve_count_has_no_lost_updates():
+    # eight row pieces count on one shared cell while threads switch every microsecond
+    op = builtin_operator("diag-power", size=64, exponent=2.0)
+    form = _form(0.5, 40)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            op.reset_solve_count()
+            apply_fractional_inverse(op, np.ones(64), form, parallel=True, max_workers=8)
+            assert op.solve_count == 8 * (form.k1 + form.k2)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_max_workers_validated(parallel):
+    op = DiagonalOperator([1.0, 2.0, 3.0])
+    form = _form(0.5, 5)
+    for bad in (0, -1, 2.5, 2.0, "2", math.nan):
+        with pytest.raises(ValueError, match=f"max_workers must be None or an integer >= 1, got {bad!r}"):
+            apply_fractional_inverse(op, np.ones(3), form, parallel=parallel, max_workers=bad)
+    serial = apply_fractional_inverse(op, np.ones(3), form)
+    for good in (None, 1, np.int64(2), 8):
+        x = apply_fractional_inverse(op, np.ones(3), form, parallel=parallel, max_workers=good)
+        assert np.array_equal(x, serial)
 
 
 def test_apply_is_linear():

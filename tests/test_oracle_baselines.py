@@ -88,8 +88,9 @@ def test_diag_norm_error_definition():
     single = oracle_diag_norm_error(np.array([1.0]), form)
     assert single == abs(1.0 - eval_scalar(form, 1.0))
     for bad in (0.5, math.nan, math.inf):
-        with pytest.raises(ValueError, match="lambda out of range"):
-            oracle_diag_norm_error(np.array([1.0, bad]), form)
+        for eigs in (np.array([1.0, bad]), np.array([bad])):
+            with pytest.raises(ValueError, match=r"^lambda out of range \[1, inf\)$"):
+                oracle_diag_norm_error(eigs, form)
 
 
 def test_diag_norm_error_uses_the_forms_alpha():
