@@ -1,10 +1,9 @@
 """Print one sha256 per CLI table, to show that a change keeps the CLI's bytes.
 
 Runs the benchmark's figure-sweep commands (read from bench/workloads.py),
-the apply and matrix-error commands below, each serially and with
---parallel, and scripts/run_figures.py in-process, through whichever glfrac
-comes first on the import path, and prints "<sha256> <exit code> <table>"
-per table. A --parallel line must equal its serial twin. Comparing two
+EXTRA_COMMANDS, THREADED_COMMANDS each serially and with --parallel, and
+scripts/run_figures.py in-process, through whichever glfrac comes first on
+the import path, and prints "<sha256> <exit code> <table>" per table. A --parallel line must equal its serial twin. Comparing two
 checkouts is then one diff:
 
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/cli_digests.py > before.txt
@@ -29,6 +28,11 @@ import glfrac  # noqa: E402
 import run_figures  # noqa: E402
 from glfrac.cli import main as cli_main  # noqa: E402
 from workloads import FigureSweep  # noqa: E402
+
+# eval_scalar takes one array pass up to 256 points and goes term by term
+# above. The figure-sweep tables evaluate 100 and 1000 eigenvalues at up to
+# 280 terms; this command adds 100 eigenvalues at up to 400 terms.
+EXTRA_COMMANDS = (("matrix-error", "--alpha", "0.5", "--nmax", "200", "--op", "diagpow:100:8"),)
 
 # Commands whose output must not depend on --parallel: a vector on a
 # diagonal handle splits into row ranges, the identity blocks of
@@ -66,7 +70,8 @@ def figure_digests():
 def main() -> int:
     print(f"glfrac from {Path(glfrac.__file__).parent}", file=sys.stderr)
     threaded = [variant for argv in THREADED_COMMANDS for variant in (argv, (*argv, "--parallel"))]
-    for line in (*command_digests(FigureSweep.COMMANDS), *command_digests(threaded), *figure_digests()):
+    commands = (*FigureSweep.COMMANDS, *EXTRA_COMMANDS, *threaded)
+    for line in (*command_digests(commands), *figure_digests()):
         print(line)
     return 0
 

@@ -155,9 +155,9 @@ def sinc_baseline_error(eigenvalues, alpha: float, total_solves: int) -> float:
     count.
     """
     alpha = check_alpha(alpha)
+    if not (total_solves >= 3 and total_solves % 2 == 1):  # 5.9, NaN and inf fail too
+        raise ValueError(f"total_solves must be an odd integer >= 3, got {total_solves!r}")
     total_solves = int(total_solves)
-    if total_solves < 3 or total_solves % 2 == 0:
-        raise ValueError("total_solves must be odd and at least 3")
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if eigenvalues.ndim != 1 or eigenvalues.size == 0:
         raise ValueError("eigenvalues must be a nonempty vector")

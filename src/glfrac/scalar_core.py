@@ -13,7 +13,6 @@ planning. Operator plumbing lives in operator_apply.
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -380,10 +379,13 @@ def estimate_balanced_error(k: int, alpha: float) -> float:
 class RationalForm:
     """Assembled partial-fraction form of the approximation.
 
-    Family 1 contributes coeffs1[j] / (1 + shifts1[j] * lambda) and
-    family 2 contributes coeffs2[j] / (shifts2[j] + lambda), nodes
-    ascending within each family. term_arrays is the one statement of the
-    order in which every evaluation sums them, so all are bit-reproducible.
+    term_arrays holds rows c, sigma, tau: term i is c[i] / (sigma[i] + tau[i]
+    lambda). Family 1, coeffs1[j] / (1 + shifts1[j] lambda), takes the first
+    k1 columns, then family 2, coeffs2[j] / (shifts2[j] + lambda); nodes
+    ascend within each family. The form keeps a read-only copy of the array
+    it is given, and the per-family arrays are read-only views of its rows.
+    term_arrays is the one statement of the order in which every evaluation
+    sums the terms, so all are bit-reproducible.
     """
 
     alpha: float
@@ -392,41 +394,44 @@ class RationalForm:
     n2: int
     k1: int
     k2: int
-    coeffs1: np.ndarray
-    shifts1: np.ndarray
-    coeffs2: np.ndarray
-    shifts2: np.ndarray
+    term_arrays: np.ndarray
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        if self.coeffs1.shape != (self.k1,) or self.shifts1.shape != (self.k1,):
-            raise ValueError("family 1 arrays must have length k1")
-        if self.coeffs2.shape != (self.k2,) or self.shifts2.shape != (self.k2,):
-            raise ValueError("family 2 arrays must have length k2")
-        # trailing weights underflow to exact zeros at large orders
-        if not ((self.coeffs1 >= 0.0).all() and (self.coeffs2 >= 0.0).all()):
-            raise ValueError("coefficients must be nonnegative")
-        if self.coeffs1[0] <= 0.0 or self.coeffs2[0] <= 0.0:
+        TruncationPlan(self.variant, self.n1, self.n2, self.k1, self.k2)  # raises unless a valid plan
+        arrays = np.array(self.term_arrays, dtype=float)
+        arrays.setflags(write=False)
+        object.__setattr__(self, "term_arrays", arrays)
+        k1 = self.k1
+        if arrays.shape != (3, k1 + self.k2):
+            raise ValueError(f"term_arrays must have shape (3, k1 + k2) = (3, {k1 + self.k2}), got {arrays.shape}")
+        c, sigma, tau = arrays
+        if not ((sigma[:k1] == 1.0).all() and (tau[k1:] == 1.0).all()):
+            raise ValueError("family 1 must have sigma == 1 and family 2 tau == 1")
+        # trailing weights underflow to exact zeros at large orders; NaN fails both comparisons
+        if not (c.min() >= 0.0 and c.max() < math.inf):
+            raise ValueError("coefficients must be finite and nonnegative")
+        if c[0] <= 0.0 or c[k1] <= 0.0:
             raise ValueError("leading coefficients must be positive")
-        for shifts in (self.shifts1, self.shifts2):
-            if not ((shifts >= 0.0).all() and (shifts < 1.0).all()):
+        for shifts in (tau[:k1], sigma[k1:]):
+            if not (shifts.min() >= 0.0 and shifts.max() < 1.0):
                 raise ValueError("shifts must lie in [0, 1)")
 
-    @cached_property
-    def term_arrays(self) -> np.ndarray:
-        """Read-only (3, k1 + k2) rows c, sigma, tau; term i is c[i] / (sigma[i] + tau[i] lambda).
+    @property
+    def coeffs1(self) -> np.ndarray:
+        return self.term_arrays[0, : self.k1]
 
-        Family 1, with (sigma, tau) = (1.0, d), comes first, then family 2,
-        with (s, 1.0); nodes ascend within each family.
-        """
-        k1 = self.k1
-        arrays = np.ones((3, k1 + self.k2))
-        arrays[0, :k1] = self.coeffs1
-        arrays[0, k1:] = self.coeffs2
-        arrays[1, k1:] = self.shifts2
-        arrays[2, :k1] = self.shifts1
-        arrays.setflags(write=False)
-        return arrays
+    @property
+    def shifts1(self) -> np.ndarray:
+        return self.term_arrays[2, : self.k1]
+
+    @property
+    def coeffs2(self) -> np.ndarray:
+        return self.term_arrays[0, self.k1 :]
+
+    @property
+    def shifts2(self) -> np.ndarray:
+        return self.term_arrays[1, self.k1 :]
 
     def terms(self):
         """Yield (family, node, c, sigma, tau) per term of term_arrays, in order.
@@ -445,35 +450,30 @@ def build_rational(alpha: float, plan: TruncationPlan) -> RationalForm:
     exp(-theta_j / alpha); family 2 uses sin(alpha pi)/((1-alpha) pi) * w_j
     and shift exp(-theta_j / (1 - alpha)). Very large theta_j / alpha
     underflows the shift to an exact zero, which is harmless: the term
-    degenerates to its limiting constant.
+    degenerates to its limiting constant. Each family's row segments are
+    written straight into one (3, k1 + k2) array.
     """
     alpha = check_alpha(alpha)
+    k1, k2 = plan.k1, plan.k2
     rule1 = gauss_laguerre(plan.n1)
     rule2 = gauss_laguerre(plan.n2)
-    pref1 = math.sin(alpha * _PI) / (alpha * _PI)
-    pref2 = math.sin(alpha * _PI) / ((1.0 - alpha) * _PI)
-    th1 = rule1.nodes[: plan.k1]
-    th2 = rule2.nodes[: plan.k2]
-    return RationalForm(
-        alpha=alpha,
-        variant=plan.variant,
-        n1=plan.n1,
-        n2=plan.n2,
-        k1=plan.k1,
-        k2=plan.k2,
-        coeffs1=pref1 * rule1.weights[: plan.k1],
-        shifts1=np.exp(-th1 / alpha),
-        coeffs2=pref2 * rule2.weights[: plan.k2],
-        shifts2=np.exp(-th2 / (1.0 - alpha)),
-    )
+    sin_pi = math.sin(alpha * _PI)
+    arrays = np.ones((3, k1 + k2))
+    c, sigma, tau = arrays
+    np.multiply(sin_pi / (alpha * _PI), rule1.weights[:k1], out=c[:k1])
+    np.multiply(sin_pi / ((1.0 - alpha) * _PI), rule2.weights[:k2], out=c[k1:])
+    np.exp(np.divide(rule1.nodes[:k1], -alpha, out=tau[:k1]), out=tau[:k1])
+    np.exp(np.divide(rule2.nodes[:k2], -(1.0 - alpha), out=sigma[k1:]), out=sigma[k1:])
+    return RationalForm(alpha, plan.variant, plan.n1, plan.n2, k1, k2, arrays)
 
 
-# Largest (lambda points) x (terms) array eval_scalar forms at once: 2**15
-# doubles, 256 KB, well inside the 2 MB L2 per core of the 2-vCPU host it was
-# timed on. Forming the array saves about 3.5 us of per-term overhead but
-# costs more per element: at 280 terms, 117 points took 0.24 ms at once
-# against 0.77-0.92 ms term by term, and 468 points 1.9-2.2 ms against 1.3-1.5.
-_ONE_SHOT_ELEMENTS = 2**15
+# Most lambda points eval_scalar evaluates in one (points, terms) array pass.
+# That pass saves about 3.5 us of per-term overhead but costs more per
+# element, so the loop wins from 300-500 points on, sooner at more terms.
+# On the 2-vCPU host it was timed on (process time, best of 7): 100 x 1000
+# took 0.70 ms at once against 3.9 ms term by term, 256 x 4096 11.5 against
+# 17.3 ms; 1000 x 40 0.33 against 0.25 ms, 384 x 4096 17.4 against 11.6 ms.
+_ONE_SHOT_POINTS = 256
 
 
 def eval_scalar(form: RationalForm, lam):
@@ -481,14 +481,14 @@ def eval_scalar(form: RationalForm, lam):
 
     Each term is c / (sigma + tau * lambda), and the terms are summed left to
     right in the order of form.term_arrays, so evaluations are bit-identical.
-    Up to _ONE_SHOT_ELEMENTS the (points, terms) array is formed at once and
-    summed by np.add.accumulate, which adds strictly in order (np.add.reduce
-    may sum pairwise and change bits); larger inputs go term by term in two
-    preallocated buffers. All terms are positive, and so is the value.
+    Up to _ONE_SHOT_POINTS points the (points, terms) array is formed at once
+    and summed by np.add.accumulate, which adds strictly in order
+    (np.add.reduce may sum pairwise and change bits); more points go term by
+    term in two preallocated buffers. All terms are positive, and so is the value.
     """
     arr, scalar = _as_lambda(lam)
     c, sigma, tau = form.term_arrays
-    if c.size * arr.size <= _ONE_SHOT_ELEMENTS:
+    if arr.size <= _ONE_SHOT_POINTS:
         t = tau * arr.reshape(-1, 1)
         t += sigma
         np.divide(c, t, out=t)

@@ -112,9 +112,10 @@ def test_diag_norm_error_permutation_invariant(perm_seed):
 
 def test_sinc_validation():
     eigs = np.array([1.0, 2.0])
-    for bad in (0, 1, 2, 10):
-        with pytest.raises(ValueError, match="odd"):
+    for bad in (0, 1, 2, 10, 5.9, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"odd integer >= 3, got {bad!r}$"):
             sinc_baseline_error(eigs, 0.5, bad)
+    assert sinc_baseline_error(eigs, 0.5, 5.0) == sinc_baseline_error(eigs, 0.5, 5)
     for bad in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="lambda out of range"):
             sinc_baseline_error(np.array([bad]), 0.5, 11)

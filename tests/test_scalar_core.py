@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from glfrac import (
     plan_full,
     select_n,
 )
+from glfrac.scalar_core import _ONE_SHOT_POINTS
 
 ALPHAS = (0.25, 0.5, 0.75)
 
@@ -392,37 +394,83 @@ def test_build_rational_order_one_closed_form():
 
 def test_rational_form_validation():
     form = build_rational(0.5, plan_full(3))
-    with pytest.raises(ValueError):
-        RationalForm(
-            alpha=0.5, variant="full", n1=3, n2=3, k1=2, k2=3,
-            coeffs1=form.coeffs1, shifts1=form.shifts1,
-            coeffs2=form.coeffs2, shifts2=form.shifts2,
-        )  # k1 says 2 but arrays have length 3
-    with pytest.raises(ValueError):
-        RationalForm(
-            alpha=0.5, variant="full", n1=3, n2=3, k1=3, k2=3,
-            coeffs1=form.coeffs1, shifts1=form.shifts1 + 1.0,  # shifts >= 1
-            coeffs2=form.coeffs2, shifts2=form.shifts2,
-        )
-
-    def with_entry(arrays, name, j, value):
-        changed = {k: v.copy() for k, v in arrays.items()}
-        changed[name][j] = value
-        return changed
-
-    arrays = {name: getattr(form, name) for name in ("coeffs1", "shifts1", "coeffs2", "shifts2")}
-    for name, j, value, match in (
-        ("coeffs1", 1, math.nan, "nonnegative"),
-        ("coeffs2", 2, -1e-300, "nonnegative"),
-        ("coeffs2", 0, 0.0, "leading coefficients"),
-        ("shifts1", 2, math.nan, r"\[0, 1\)"),
-        ("shifts2", 1, 1.0, r"\[0, 1\)"),
-        ("shifts2", 0, -0.5, r"\[0, 1\)"),
+    terms = form.term_arrays
+    with pytest.raises(ValueError, match="shape"):
+        RationalForm(0.5, "balanced", 3, 3, 2, 3, terms)  # k1 says 2 but family 1 has 3 columns
+    # the plan metadata goes through TruncationPlan's rule, and alpha through check_alpha
+    for meta, match in (
+        ((0.5, "full", 3, 3, 2, 3), "full variant"),
+        ((0.5, "nonsense", 1, 1, 3, 3), "unknown truncation variant"),
+        ((0.5, "balanced", 1, 1, 3, 3), "retained counts"),  # k1 = 3 > n1 = 1
+        ((1.5, "full", 3, 3, 3, 3), "alpha"),
     ):
         with pytest.raises(ValueError, match=match):
-            RationalForm(0.5, "full", 3, 3, 3, 3, **with_entry(arrays, name, j, value))
+            RationalForm(*meta, terms)
+    for bad in (terms[0], terms[:2], terms.T):
+        with pytest.raises(ValueError, match="shape"):
+            RationalForm(0.5, "full", 3, 3, 3, 3, bad)
+    shifted = terms.copy()
+    shifted[2, :3] += 1.0  # family-1 shifts >= 1
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        RationalForm(0.5, "full", 3, 3, 3, 3, shifted)
+
+    def with_entry(arrays, row, j, value):
+        changed = arrays.copy()
+        changed[row, j] = value
+        return changed
+
+    # (row, column) of term_arrays: c, sigma, tau rows; family 1 in columns 0-2, family 2 in 3-5
+    for row, j, value, match in (
+        (0, 1, math.nan, "nonnegative"),  # coeffs1[1]
+        (0, 1, math.inf, "finite"),
+        (0, 0, math.inf, "finite"),
+        (0, 4, -math.inf, "finite"),  # coeffs2[1]
+        (0, 5, -1e-300, "nonnegative"),  # coeffs2[2]
+        (0, 3, 0.0, "leading coefficients"),  # coeffs2[0]
+        (2, 2, math.nan, r"\[0, 1\)"),  # shifts1[2]
+        (1, 4, 1.0, r"\[0, 1\)"),  # shifts2[1]
+        (1, 3, -0.5, r"\[0, 1\)"),  # shifts2[0]
+        (1, 0, 0.5, "sigma == 1"),  # family-1 sigma
+        (1, 2, math.nan, "sigma == 1"),
+        (2, 4, 0.0, "tau == 1"),  # family-2 tau
+        (2, 3, 1.0 + 2**-52, "tau == 1"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            RationalForm(0.5, "full", 3, 3, 3, 3, with_entry(terms, row, j, value))
     # trailing coefficients and shifts may be exact zeros
-    RationalForm(0.5, "full", 3, 3, 3, 3, **with_entry(with_entry(arrays, "coeffs1", 2, 0.0), "shifts2", 2, 0.0))
+    RationalForm(0.5, "full", 3, 3, 3, 3, with_entry(with_entry(terms, 0, 2, 0.0), 1, 5, 0.0))
+
+
+def test_rational_form_owns_its_terms():
+    assert [f.name for f in dataclasses.fields(RationalForm)] == [
+        "alpha", "variant", "n1", "n2", "k1", "k2", "term_arrays"]
+    form = build_rational(0.75, plan_equalized(60, 0.75))
+    k1 = form.k1
+    assert form.k1 != form.k2 and form.term_arrays.shape == (3, form.k1 + form.k2)
+    views = {
+        "coeffs1": form.term_arrays[0, :k1],
+        "shifts1": form.term_arrays[2, :k1],
+        "coeffs2": form.term_arrays[0, k1:],
+        "shifts2": form.term_arrays[1, k1:],
+    }
+    for name, expected in views.items():
+        view = getattr(form, name)
+        assert view.tobytes() == expected.tobytes() and view.shape == expected.shape
+        assert np.shares_memory(view, form.term_arrays)
+    for target in (form.term_arrays, *(getattr(form, name) for name in views)):
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = 9.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        form.term_arrays = form.term_arrays.copy()
+    # the form copies the caller's array, so later edits to it change nothing,
+    # whether they come before the first evaluation or after it
+    given = form.term_arrays.copy()
+    own = RationalForm(form.alpha, form.variant, form.n1, form.n2, form.k1, form.k2, given)
+    given[0, 0] = -1.0
+    assert eval_scalar(own, 4.0) == eval_scalar(form, 4.0)
+    given[0, k1] = 9.0
+    assert eval_scalar(own, 4.0) == eval_scalar(form, 4.0)
+    assert own.term_arrays is not given and own.term_arrays.tobytes() == form.term_arrays.tobytes()
 
 
 def test_eval_scalar_frozen_point():
@@ -449,9 +497,11 @@ def test_eval_scalar_vector_matches_scalar():
     for fam, _, c, sigma, tau in terms:
         acc = acc + (c / (1.0 + tau * lams) if fam == 1 else c / (sigma + lams))
     assert eval_scalar(form, lams).tolist() == acc.tolist()
-    # both evaluation paths, one (points, terms) array up to 2**15 elements and
-    # term by term above, equal a term-by-term sum over terms() to the last bit
-    for form in (build_rational(0.5, plan_full(3)), form, build_rational(0.25, plan_full(200))):
+    # both evaluation paths, one (points, terms) array up to _ONE_SHOT_POINTS
+    # points and term by term above, equal a term-by-term sum over terms() to
+    # the last bit, in any input shape
+    for form in (build_rational(0.5, plan_full(3)), form, build_rational(0.25, plan_full(200)),
+                 build_rational(0.5, plan_full(500))):
         terms = list(form.terms())
         k = len(terms)
 
@@ -461,11 +511,13 @@ def test_eval_scalar_vector_matches_scalar():
                 acc = acc + c / (sigma + tau * x)
             return acc
 
-        sizes = [1, 2, 2**15 // k, 2**15 // k + 1, 1000] + ([100_000] if k < 10 else [])
+        sizes = [1, 2, 2**15 // k, 2**15 // k + 1, _ONE_SHOT_POINTS, _ONE_SHOT_POINTS + 1, 1000]
+        sizes += [100_000] if k < 10 else []
         for m in sizes:
             lams = np.logspace(0.0, 14.0, m)
             assert eval_scalar(form, lams).tolist() == reference(lams).tolist()
-        for lams in (5.0, np.array(5.0), np.logspace(0.0, 9.0, 12).reshape(3, 4), np.empty(0), np.empty((3, 0))):
+        grids = (np.logspace(0.0, 9.0, 12).reshape(3, 4), np.logspace(0.0, 9.0, 300).reshape(20, 15))
+        for lams in (5.0, np.array(5.0), *grids, np.empty(0), np.empty((3, 0))):
             value = eval_scalar(form, lams)
             assert np.shape(value) == np.shape(lams)
             assert np.asarray(value).tolist() == reference(np.asarray(lams)).tolist()
