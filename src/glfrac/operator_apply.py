@@ -12,7 +12,6 @@ import copy
 import math
 import numbers
 import os
-import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 
@@ -54,6 +53,15 @@ def _check_dense_dim(dim: int):
         raise ValueError(f"dimension too large for dense assembly: {dim} > {DENSE_DIM_CAP}")
 
 
+def _check_finite(name: str, a: np.ndarray):
+    """Refuse NaN and inf in a, naming how many there are and where the first one is."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        first = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"{name} must be finite: {int(bad.sum())} of {a.size} are NaN or inf, "
+                         f"the first at index {first[0] if a.ndim == 1 else tuple(first)}")
+
+
 class OperatorHandle(ABC):
     """A self-adjoint positive operator exposing shifted solves.
 
@@ -61,8 +69,7 @@ class OperatorHandle(ABC):
     (sigma I + tau L) X = B, where B is a vector (dim,) or a block
     (dim, r) whose columns are solved independently: a solve of some of
     the columns gives the same bits as those columns of a whole-block
-    solve. The public shifted_solve wrapper counts every solve
-    (thread-safe), which is what the inversion-accounting tests read back.
+    solve. The public shifted_solve checks the shifts and B, then calls it.
     The class attribute diagonal is True when a form acts entrywise on
     spectrum(), as on diag(eigenvalues); then rows are independent too, and
     a parallel apply splits a vector into the row views that _rows returns.
@@ -78,17 +85,6 @@ class OperatorHandle(ABC):
             raise ValueError("lambda_min must be positive")
         self.dimension = dimension
         self.lambda_min = float(lambda_min)
-        # one cell, shared with the row views of DiagonalOperator._rows, so their solves count here
-        self._solves = [0]
-        self._count_lock = threading.Lock()
-
-    @property
-    def solve_count(self) -> int:
-        return self._solves[0]
-
-    def reset_solve_count(self):
-        with self._count_lock:
-            self._solves[0] = 0
 
     def _check_rhs(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -105,12 +101,12 @@ class OperatorHandle(ABC):
         ...
 
     def shifted_solve(self, sigma: float, tau: float, b) -> np.ndarray:
-        """Solve (sigma I + tau L) X = B for sigma, tau >= 0, not both zero; B is (dim,) or (dim, r)."""
-        if sigma < 0.0 or tau < 0.0 or sigma + tau == 0.0:
-            raise ValueError("shift coefficients must be nonnegative and not both zero")
+        """Solve (sigma I + tau L) X = B for finite sigma, tau >= 0, not both zero; B is (dim,) or (dim, r)."""
+        # NaN fails every comparison, so it is refused too
+        if not (0.0 <= sigma < math.inf and 0.0 <= tau < math.inf and sigma + tau > 0.0):
+            raise ValueError(f"shift coefficients must be finite, nonnegative and not both zero: "
+                             f"sigma={sigma!r}, tau={tau!r}")
         b = self._check_rhs(b)
-        with self._count_lock:
-            self._solves[0] += 1
         return self._shifted_solve(float(sigma), float(tau), b)
 
 
@@ -123,10 +119,7 @@ class DiagonalOperator(OperatorHandle):
         eigenvalues = np.asarray(eigenvalues, dtype=float)
         if eigenvalues.ndim != 1 or eigenvalues.size == 0:
             raise ValueError("eigenvalues must be a nonempty vector")
-        bad = ~np.isfinite(eigenvalues)
-        if bad.any():
-            raise ValueError(f"eigenvalues must be finite: {int(bad.sum())} of {eigenvalues.size} are NaN or inf, "
-                             f"the first at index {int(np.argmax(bad))}")
+        _check_finite("eigenvalues", eigenvalues)
         if not np.all(eigenvalues > 0.0):
             raise NotPositiveDefiniteError("operator not positive definite")
         super().__init__(eigenvalues.size, float(eigenvalues.min()))
@@ -136,7 +129,7 @@ class DiagonalOperator(OperatorHandle):
         return np.sort(self.eigenvalues)
 
     def _rows(self, start: int, stop: int) -> "DiagonalOperator":
-        """diag(eigenvalues[start:stop]) as a view, not validated again; its solves count on this handle."""
+        """diag(eigenvalues[start:stop]) as a view, not validated again."""
         view = copy.copy(self)
         view.dimension, view.eigenvalues = stop - start, self.eigenvalues[start:stop]
         return view
@@ -212,6 +205,7 @@ class DenseOperator(OperatorHandle):
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
         _check_dense_dim(matrix.shape[0])
+        _check_finite("matrix entries", matrix)
         if not np.allclose(matrix, matrix.T, rtol=1e-10, atol=1e-12):
             raise ValueError("operator not symmetric")
         super().__init__(matrix.shape[0], lambda_min)
@@ -335,15 +329,12 @@ def apply_fractional_inverse(
     handle into row ranges. A vector on any other handle is one piece and
     runs on the calling thread. Every entry goes through the same operations
     in the same order either way, so parallel output is bit-identical to
-    serial output. op counts the solves of every piece: p pieces make
-    p * (k1 + k2) solves.
+    serial output. Each piece runs all k1 + k2 solves.
     """
     if max_workers is not None and not (isinstance(max_workers, numbers.Integral) and max_workers >= 1):
         raise ValueError(f"max_workers must be None or an integer >= 1, got {max_workers!r}")
     b = op._check_rhs(b)
-    bad = ~np.isfinite(b)
-    if bad.any():
-        raise ValueError(f"right-hand side must be finite: {int(bad.sum())} of {b.size} entries are NaN or inf")
+    _check_finite("right-hand side", b)
     scale = op.lambda_min ** (-form.alpha)
     out = np.zeros(b.shape)
 

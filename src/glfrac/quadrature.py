@@ -35,12 +35,19 @@ def check_order(n: int) -> int:
     return int(n)
 
 
+def read_only_copy(a) -> np.ndarray:
+    """A read-only float copy of a, returned as a view: numpy cannot make that writable again."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a.view()
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """A quadrature rule for integrals against exp(-x) dx on [0, inf).
 
-    Rules returned by gauss_laguerre are shared by every caller in the
-    process, so their nodes and weights arrays are read-only.
+    A rule keeps read-only copies of the nodes and weights it is given, so
+    the rules of gauss_laguerre can be shared by every caller in the process.
 
     Attributes
     ----------
@@ -59,6 +66,8 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "nodes", read_only_copy(self.nodes))
+        object.__setattr__(self, "weights", read_only_copy(self.weights))
         if self.order < 1:
             raise ValueError("order must be at least 1")
         if self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
@@ -98,14 +107,11 @@ def gauss_laguerre(n: int) -> QuadratureRule:
 
 @cache
 def _build_rule(n: int) -> QuadratureRule:
-    """Golub-Welsch eigensolve of the order-n Jacobi matrix, arrays made read-only."""
+    """Golub-Welsch eigensolve of the order-n Jacobi matrix."""
     d = 2.0 * np.arange(n) + 1.0
     e = np.arange(1.0, n)  # symmetric off-diagonal entry is k, not sqrt(k)
     x, v = eigh_tridiagonal(d, e)
-    w = v[0, :] ** 2
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return QuadratureRule(n, x, w)
+    return QuadratureRule(n, x, v[0, :] ** 2)
 
 
 def tail_weight_sum(rule: QuadratureRule, k: int) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import N_MAX, check_order, gauss_laguerre
+from .quadrature import N_MAX, check_order, gauss_laguerre, read_only_copy
 
 __all__ = [
     "ErrorEstimate",
@@ -370,7 +370,9 @@ def plan_equalized(n: int, alpha: float) -> TruncationPlan:
 
 
 def estimate_balanced_error(k: int, alpha: float) -> float:
-    """Truncated-variant bound 8 sin(alpha pi) exp(-3.6 sqrt(alpha) sqrt(2 k))."""
+    """Truncated-variant bound 8 sin(alpha pi) exp(-3.6 sqrt(alpha) sqrt(2 k)) for an integer k >= 1."""
+    if not (1 <= k < math.inf and k == int(k)):  # NaN fails the first test
+        raise ValueError(f"retained count must be an integer >= 1: {k!r}")
     alpha = check_alpha(alpha)
     return 8.0 * math.sin(alpha * _PI) * math.exp(-3.6 * math.sqrt(alpha) * math.sqrt(2.0 * k))
 
@@ -399,8 +401,7 @@ class RationalForm:
     def __post_init__(self):
         check_alpha(self.alpha)
         TruncationPlan(self.variant, self.n1, self.n2, self.k1, self.k2)  # raises unless a valid plan
-        arrays = np.array(self.term_arrays, dtype=float)
-        arrays.setflags(write=False)
+        arrays = read_only_copy(self.term_arrays)
         object.__setattr__(self, "term_arrays", arrays)
         k1 = self.k1
         if arrays.shape != (3, k1 + self.k2):

@@ -153,6 +153,15 @@ def test_dense_file_operator(tmp_path):
     assert code == 1
 
 
+def test_dense_file_with_non_finite_entries_exits_1(tmp_path, capsys):
+    for entry in ("inf", "nan"):
+        path = tmp_path / f"{entry}.txt"
+        path.write_text(f"2 1.0\n2.0 {entry}\n{entry} 2.0\n")
+        assert main(["apply", "--op", f"dense:{path}", "--alpha", "0.5", "--n", "4"]) == 1
+        captured = capsys.readouterr()
+        assert "matrix entries must be finite: 2 of 4" in captured.err and captured.out == ""
+
+
 def test_fd_operator_specs():
     op = parse_operator("fd1d:7")
     assert isinstance(op, TridiagonalOperator)

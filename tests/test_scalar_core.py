@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from glfrac import (
     N_MAX,
     OrderOutOfRangeError,
+    QuadratureRule,
     RationalForm,
     ToleranceUnreachableError,
     build_rational,
@@ -20,6 +21,7 @@ from glfrac import (
     g1,
     g2,
     gamma_pm,
+    gauss_laguerre,
     lambda_n_exact,
     lambda_n_tilde,
     n_star,
@@ -473,6 +475,22 @@ def test_rational_form_owns_its_terms():
     assert own.term_arrays is not given and own.term_arrays.tobytes() == form.term_arrays.tobytes()
 
 
+def test_shared_arrays_cannot_be_made_writable():
+    # the stored arrays are views of read-only owners; on an owner itself numpy would set the flag
+    form = build_rational(0.75, plan_equalized(60, 0.75))
+    rule = gauss_laguerre(7)
+    given = rule.weights.copy()
+    own = QuadratureRule(7, rule.nodes, given)
+    for target in (form.term_arrays, form.coeffs1, form.shifts1, form.coeffs2, form.shifts2,
+                   rule.nodes, rule.weights, own.nodes, own.weights):
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+            target.setflags(write=True)
+        assert not target.flags.writeable
+    # a hand-made rule copies the caller's arrays, as a form does
+    given[0] = 5.0
+    assert own.weights.tobytes() == rule.weights.tobytes()
+
+
 def test_eval_scalar_frozen_point():
     form = build_rational(0.5, plan_full(20))
     assert abs(10.0**-0.5 - eval_scalar(form, 10.0)) == pytest.approx(7.484443331040591e-06, rel=1e-12)
@@ -568,3 +586,11 @@ def test_balanced_estimate_formula():
     k, alpha = 19, 0.5
     expect = 8.0 * math.sin(alpha * math.pi) * math.exp(-3.6 * math.sqrt(alpha) * math.sqrt(2.0 * k))
     assert estimate_balanced_error(k, alpha) == pytest.approx(expect, rel=1e-15)
+
+
+def test_balanced_estimate_validates_k():
+    for bad in (2.5, math.nan, 0, -1, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"retained count must be an integer >= 1: {bad!r}$"):
+            estimate_balanced_error(bad, 0.5)
+    assert estimate_balanced_error(19.0, 0.5) == estimate_balanced_error(np.int64(19), 0.5) == \
+        estimate_balanced_error(19, 0.5)
