@@ -66,13 +66,13 @@ class OperatorHandle(ABC):
     """A self-adjoint positive operator exposing shifted solves.
 
     Concrete handles implement spectrum() and the protected solve of
-    (sigma I + tau L) X = B, where B is a vector (dim,) or a block
-    (dim, r) whose columns are solved independently: a solve of some of
-    the columns gives the same bits as those columns of a whole-block
-    solve. The public shifted_solve checks the shifts and B, then calls it.
+    (sigma I + tau L) X = B for a block B (dim, r) whose columns are solved
+    independently: a solve of some of the columns gives the same bits as
+    those columns of a whole-block solve. The public shifted_solve checks
+    the shifts and B, and solves a vector (dim,) as a block of one column.
     The class attribute diagonal is True when a form acts entrywise on
     spectrum(), as on diag(eigenvalues); then rows are independent too, and
-    a parallel apply splits a vector into the row views that _rows returns.
+    a parallel apply splits B into the row views that _rows returns.
     """
 
     diagonal = False
@@ -101,13 +101,13 @@ class OperatorHandle(ABC):
         ...
 
     def shifted_solve(self, sigma: float, tau: float, b) -> np.ndarray:
-        """Solve (sigma I + tau L) X = B for finite sigma, tau >= 0, not both zero; B is (dim,) or (dim, r)."""
+        """Solve (sigma I + tau L) X = B for finite sigma, tau >= 0, not both zero; X has the shape of B."""
         # NaN fails every comparison, so it is refused too
         if not (0.0 <= sigma < math.inf and 0.0 <= tau < math.inf and sigma + tau > 0.0):
             raise ValueError(f"shift coefficients must be finite, nonnegative and not both zero: "
                              f"sigma={sigma!r}, tau={tau!r}")
         b = self._check_rhs(b)
-        return self._shifted_solve(float(sigma), float(tau), b)
+        return self._shifted_solve(float(sigma), float(tau), b.reshape(self.dimension, -1)).reshape(b.shape)
 
 
 class DiagonalOperator(OperatorHandle):
@@ -135,8 +135,7 @@ class DiagonalOperator(OperatorHandle):
         return view
 
     def _shifted_solve(self, sigma, tau, b):
-        denom = sigma + tau * self.eigenvalues
-        return b / (denom if b.ndim == 1 else denom[:, None])
+        return b / (sigma + tau * self.eigenvalues)[:, None]
 
 
 class TridiagonalOperator(OperatorHandle):
@@ -263,8 +262,7 @@ class KroneckerSumOperator(OperatorHandle):
         # (dim, r) -> (r, m, m), one m x m matrix per column
         x = np.ascontiguousarray(b.reshape(m, m, -1).transpose(2, 0, 1))
         c = (q.T @ x @ q) / (sigma + tau * self._grid)
-        x = q @ c @ q.T
-        return x[0].ravel() if b.ndim == 1 else x.reshape(-1, m * m).T
+        return (q @ c @ q.T).reshape(-1, m * m).T
 
     def to_dense(self) -> np.ndarray:
         _check_dense_dim(self.dimension)
@@ -319,27 +317,29 @@ def apply_fractional_inverse(
 ) -> np.ndarray:
     """Approximate L**(-alpha) B with one shifted solve per retained node.
 
-    B is a vector (dim,) or a block (dim, r). A node's solve against
-    L / lambda_min is the solve (sigma I + (tau / lambda_min) L) X = B, and
-    the solutions are added up in the order of form.terms().
+    B is a vector (dim,), applied as a block of one column, or a block
+    (dim, r). A node's solve against L / lambda_min is the solve
+    (sigma I + (tau / lambda_min) L) X = B, and the solutions are added up
+    in the order of form.terms().
 
     A parallel apply splits B into at most max_workers pieces (default
     os.cpu_count()) and runs that same loop on each piece, one thread per
-    piece: a block splits into column groups, and a vector on a diagonal
-    handle into row ranges. A vector on any other handle is one piece and
-    runs on the calling thread. Every entry goes through the same operations
-    in the same order either way, so parallel output is bit-identical to
-    serial output. Each piece runs all k1 + k2 solves.
+    piece: into row ranges on a diagonal handle, into column groups on any
+    other. So a vector on a coupled handle is one piece and runs on the
+    calling thread. Every entry goes through the same operations in the
+    same order either way, so parallel output is bit-identical to serial
+    output. Each piece runs all k1 + k2 solves.
     """
     if max_workers is not None and not (isinstance(max_workers, numbers.Integral) and max_workers >= 1):
         raise ValueError(f"max_workers must be None or an integer >= 1, got {max_workers!r}")
     b = op._check_rhs(b)
     _check_finite("right-hand side", b)
+    block = b.reshape(op.dimension, -1)
     scale = op.lambda_min ** (-form.alpha)
-    out = np.zeros(b.shape)
+    out = np.zeros(block.shape)
 
     def accumulate(handle, index):
-        rhs, acc = b[index], out[index]
+        rhs, acc = block[index], out[index]
         for fam, j, c, sigma, tau in form.terms():
             try:
                 sol = handle.shifted_solve(sigma, tau / op.lambda_min, rhs)
@@ -349,20 +349,18 @@ def apply_fractional_inverse(
         acc *= scale
 
     workers = (max_workers or os.cpu_count() or 1) if parallel else 1
-    extent = b.shape[1] if b.ndim == 2 else op.dimension if op.diagonal else 1
+    extent = block.shape[0 if op.diagonal else 1]
     p = max(1, min(workers, extent))
     if p == 1:
         accumulate(op, ...)
-        return out
-    bounds = [i * extent // p for i in range(p + 1)]
-    if b.ndim == 2:
-        pieces = [(op, np.s_[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     else:
-        pieces = [(op._rows(lo, hi), np.s_[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    with ThreadPoolExecutor(max_workers=p) as pool:
-        for future in [pool.submit(accumulate, *piece) for piece in pieces]:
-            future.result()
-    return out
+        bounds = [i * extent // p for i in range(p + 1)]
+        pieces = [(op._rows(lo, hi), np.s_[lo:hi]) if op.diagonal else (op, np.s_[:, lo:hi])
+                  for lo, hi in zip(bounds, bounds[1:])]
+        with ThreadPoolExecutor(max_workers=p) as pool:
+            for future in [pool.submit(accumulate, *piece) for piece in pieces]:
+                future.result()
+    return out.reshape(b.shape)
 
 
 def dense_fractional_inverse(op: OperatorHandle, form: RationalForm, parallel: bool = False) -> np.ndarray:

@@ -82,8 +82,8 @@ def test_parallel_output_bit_identical(count_solves):
     count_solves.clear()
     apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
     assert len(count_solves) == 60
-    # B splits into pieces (column groups of a block, row ranges of a vector on a
-    # diagonal handle); each piece runs the whole term loop
+    # B splits into pieces (row ranges on a diagonal handle, column groups on any
+    # other, a vector being one column); each piece runs the whole term loop
     handles = {**_handles(), "diagonal-10k": builtin_operator("diag-power", size=10_000, exponent=2.0)}
     form = _form(0.75, 20, "equalized")
     terms = form.k1 + form.k2
@@ -94,7 +94,7 @@ def test_parallel_output_bit_identical(count_solves):
             count_solves.clear()
             serial = apply_fractional_inverse(op, b, form)
             assert len(count_solves) == terms
-            extent = op.dimension if r is None and op.diagonal else 1 if r is None else r
+            extent = op.dimension if op.diagonal else 1 if r is None else r
             for workers in (1, 2, 3, 4):
                 count_solves.clear()
                 threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=workers)
