@@ -34,15 +34,16 @@ from workloads import FigureSweep  # noqa: E402
 # 280 terms; this command adds 100 eigenvalues at up to 400 terms.
 EXTRA_COMMANDS = (("matrix-error", "--alpha", "0.5", "--nmax", "200", "--op", "diagpow:100:8"),)
 
-# Commands whose output must not depend on --parallel: a vector on a
-# diagonal handle splits into row ranges, the identity blocks of
-# matrix-error's dense inverses into column groups, and a vector on fd1d or
-# fd2d runs as one piece.
+# Commands whose output must not depend on --parallel: on a diagonal handle
+# the right-hand side splits into row ranges, on fd1d and fd2d into column
+# groups, so a vector there runs as one piece and the identity blocks of
+# matrix-error's dense inverses split.
 THREADED_COMMANDS = (
     *(("apply", "--op", op, "--alpha", alpha, "--n", "40", "--variant", variant, "--seed", "5")
       for op, alpha, variant in itertools.product(("diagpow:20000:2", "fd1d:300", "fd2d:20"), ("0.25", "0.75"),
                                                   ("balanced", "equalized"))),
     ("matrix-error", "--alpha", "0.5", "--nmax", "4", "--op", "fd1d:12"),
+    ("matrix-error", "--alpha", "0.5", "--nmax", "2", "--op", "fd2d:3"),
 )
 
 

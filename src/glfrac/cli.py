@@ -166,6 +166,8 @@ def _cmd_apply(args):
     op = parse_operator(args.op)
     if args.rhs is not None:
         b = np.loadtxt(args.rhs, dtype=float, ndmin=1)
+        if b.ndim != 1:
+            raise ValueError(f"right-hand side must be one column, got shape {b.shape} from {args.rhs}")
     else:
         b = np.random.default_rng(args.seed).standard_normal(op.dimension)
     form = build_rational(args.alpha, _plan_for(args.variant, args.n, args.alpha))

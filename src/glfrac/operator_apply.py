@@ -62,6 +62,14 @@ def _check_finite(name: str, a: np.ndarray):
                          f"the first at index {first[0] if a.ndim == 1 else tuple(first)}")
 
 
+def _real(name: str, a) -> np.ndarray:
+    """a as a float array; complex input is refused, since the cast would drop its imaginary part."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} must be real, got complex dtype {a.dtype}")
+    return np.asarray(a, dtype=float)
+
+
 class OperatorHandle(ABC):
     """A self-adjoint positive operator exposing shifted solves.
 
@@ -87,7 +95,7 @@ class OperatorHandle(ABC):
         self.lambda_min = float(lambda_min)
 
     def _check_rhs(self, b) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
+        b = _real("right-hand side", b)
         if b.ndim not in (1, 2) or b.shape[0] != self.dimension:
             raise DimensionMismatchError(f"dimension mismatch: shape {b.shape}, operator dimension {self.dimension}")
         return b
@@ -116,7 +124,7 @@ class DiagonalOperator(OperatorHandle):
     diagonal = True
 
     def __init__(self, eigenvalues):
-        eigenvalues = np.asarray(eigenvalues, dtype=float)
+        eigenvalues = _real("eigenvalues", eigenvalues)
         if eigenvalues.ndim != 1 or eigenvalues.size == 0:
             raise ValueError("eigenvalues must be a nonempty vector")
         _check_finite("eigenvalues", eigenvalues)
@@ -147,10 +155,12 @@ class TridiagonalOperator(OperatorHandle):
     """
 
     def __init__(self, diag, off, lambda_min: float | None = None):
-        diag = np.asarray(diag, dtype=float)
-        off = np.asarray(off, dtype=float)
+        diag = _real("main diagonal", diag)
+        off = _real("off-diagonal", off)
         if diag.ndim != 1 or diag.size < 1 or off.shape != (diag.size - 1,):
             raise ValueError("need a main diagonal of length m and an off-diagonal of length m - 1")
+        _check_finite("main diagonal", diag)
+        _check_finite("off-diagonal", off)
         smallest = float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
         if lambda_min is None:
             lambda_min = smallest
@@ -200,7 +210,7 @@ class DenseOperator(OperatorHandle):
     """
 
     def __init__(self, matrix, lambda_min: float):
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = _real("matrix entries", matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
         _check_dense_dim(matrix.shape[0])
@@ -330,7 +340,8 @@ def apply_fractional_inverse(
     same order either way, so parallel output is bit-identical to serial
     output. Each piece runs all k1 + k2 solves.
     """
-    if max_workers is not None and not (isinstance(max_workers, numbers.Integral) and max_workers >= 1):
+    if max_workers is not None and (isinstance(max_workers, bool)
+                                    or not (isinstance(max_workers, numbers.Integral) and max_workers >= 1)):
         raise ValueError(f"max_workers must be None or an integer >= 1, got {max_workers!r}")
     b = op._check_rhs(b)
     _check_finite("right-hand side", b)

@@ -58,8 +58,11 @@ def check_alpha(alpha: float) -> float:
 
 
 def _as_lambda(lam):
-    """Validate finite lambda >= 1 and report whether the input was scalar."""
-    arr = np.asarray(lam, dtype=float)
+    """Validate real, finite lambda >= 1 and report whether the input was scalar."""
+    arr = np.asarray(lam)
+    if np.iscomplexobj(arr):  # the cast to float would drop the imaginary part
+        raise ValueError(f"lambda must be real, got complex dtype {arr.dtype}")
+    arr = np.asarray(arr, dtype=float)
     if not ((arr >= 1.0).all() and np.isfinite(arr).all()):
         raise ValueError("lambda out of range [1, inf)")
     return arr, arr.ndim == 0

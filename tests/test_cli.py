@@ -186,6 +186,11 @@ def test_bad_inputs_exit_nonzero(tmp_path, capsys):
     rhs.write_text("1.0\n")
     assert main(["apply", "--op", "fd1d:4", "--alpha", "0.5", "--n", "4", "--rhs", str(rhs)]) == 1
     assert "dimension mismatch" in capsys.readouterr().err
+    # a block is refused before any solve, not after when its rows are printed
+    rhs.write_text("1.0 2.0\n3.0 4.0\n5.0 6.0\n")
+    assert main(["apply", "--op", "diagpow:3:1", "--alpha", "0.5", "--n", "4", "--rhs", str(rhs)]) == 1
+    captured = capsys.readouterr()
+    assert "error: right-hand side must be one column, got shape (3, 2)" in captured.err and captured.out == ""
     assert main(["compare", "--alpha", "0.5", "--spectrum", "diagpow:10:2", "--solves", "10"]) == 1
     assert "odd" in capsys.readouterr().err
     # refused by the dense cap before the tridiagonal matrix is assembled
@@ -301,7 +306,7 @@ def test_cli_digests_hash_each_table(capsys):
     assert sum(name.startswith("run_figures/") for _, _, name in lines) == 11
     by_name = {name: digest for digest, _, name in lines}
     threaded = [name for name in by_name if name.endswith(" --parallel")]
-    assert len(threaded) == 13
+    assert len(threaded) == 14
     assert all(by_name[name] == by_name[name.removesuffix(" --parallel")] for name in threaded)
     argv = ["select-n", "--alpha", "0.5", "--tol", "1e-8"]
     assert main(argv) == 0

@@ -132,7 +132,7 @@ def test_parallel_coupled_vector_runs_without_a_pool(monkeypatch):
 def test_max_workers_validated(parallel):
     op = DiagonalOperator([1.0, 2.0, 3.0])
     form = _form(0.5, 5)
-    for bad in (0, -1, 2.5, 2.0, "2", math.nan):
+    for bad in (0, -1, 2.5, 2.0, "2", math.nan, True, False):
         with pytest.raises(ValueError, match=f"max_workers must be None or an integer >= 1, got {bad!r}"):
             apply_fractional_inverse(op, np.ones(3), form, parallel=parallel, max_workers=bad)
     serial = apply_fractional_inverse(op, np.ones(3), form)
@@ -311,6 +311,28 @@ def test_block_solve_matches_column_solves(kind):
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense", "kronecker"])
+def test_handles_solve_blocks_only(kind, monkeypatch):
+    # a vector reaches the protected solve as a block of one column, from an apply and from shifted_solve
+    op = _handles()[kind]
+    shapes = []
+    solve = type(op)._shifted_solve
+
+    def spy(self, sigma, tau, b):
+        shapes.append(b.shape)
+        return solve(self, sigma, tau, b)
+
+    monkeypatch.setattr(type(op), "_shifted_solve", spy)
+    b = np.random.default_rng(6).standard_normal(op.dimension)
+    form = _form(0.5, 5)
+    for parallel in (False, True):
+        assert apply_fractional_inverse(op, b, form, parallel=parallel, max_workers=3).shape == b.shape
+    assert op.shifted_solve(1.0, 0.5, b).shape == b.shape
+    pieces = 1 + (3 if op.diagonal else 1)  # serial, then 3 row ranges or 1 column
+    assert len(shapes) == pieces * (form.k1 + form.k2) + 1
+    assert all(len(shape) == 2 and shape[1] == 1 for shape in shapes), shapes
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense", "kronecker"])
 def test_diagonal_flag(kind):
     # a form acts entrywise on spectrum() only for the diagonal handle
     assert _handles()[kind].diagonal is (kind == "diagonal")
@@ -412,6 +434,32 @@ def test_dense_rejects_non_finite_entries():
     a[0, 1] = a[1, 0] = np.nan
     with pytest.raises(ValueError, match=r"matrix entries must be finite: 3 of 9 .* index \(0, 1\)$"):
         DenseOperator(a, lambda_min=0.5)
+
+
+def test_tridiagonal_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="main diagonal must be finite: 2 of 3 .* index 1$"):
+        TridiagonalOperator([2.0, np.nan, np.inf], [-1.0, -1.0])
+    with pytest.raises(ValueError, match="off-diagonal must be finite: 1 of 2 .* index 1$"):
+        TridiagonalOperator([2.0, 2.0, 2.0], [-1.0, np.inf])
+
+
+def test_rejects_complex_input():
+    # casting a complex array to float would drop the imaginary part and only warn
+    message = "must be real, got complex dtype complex128"
+    op = DiagonalOperator([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=f"right-hand side {message}"):
+        apply_fractional_inverse(op, np.array([1.0 + 2.0j, 1.0, 1.0, 1.0]), _form(0.5, 5))
+    for handle in _handles().values():
+        with pytest.raises(ValueError, match=f"right-hand side {message}"):
+            handle.shifted_solve(1.0, 1.0, np.ones(handle.dimension, dtype=complex))
+    with pytest.raises(ValueError, match=f"eigenvalues {message}"):
+        DiagonalOperator(np.array([1.0 + 1.0j, 2.0]))
+    with pytest.raises(ValueError, match=f"main diagonal {message}"):
+        TridiagonalOperator(np.array([2.0, 2.0 + 0.0j]), [-1.0])
+    with pytest.raises(ValueError, match=f"off-diagonal {message}"):
+        TridiagonalOperator([2.0, 2.0], np.array([-1.0j]))
+    with pytest.raises(ValueError, match=f"matrix entries {message}"):
+        DenseOperator(np.eye(2, dtype=complex), lambda_min=0.5)
 
 
 def test_dense_rejects_overstated_lambda_min():

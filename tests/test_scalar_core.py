@@ -68,6 +68,16 @@ def test_lambda_checks_refuse_nan_and_accept_empty():
             assert np.shape(f(empty)) == np.shape(empty)
 
 
+def test_lambda_checks_refuse_complex():
+    # casting a complex array to float would evaluate at the real part and only warn
+    form = build_rational(0.5, plan_full(4))
+    for f in (lambda lam: gamma_pm(lam)[1], lambda lam: g1(4, 0.5, lam), lambda lam: g2(4, 0.5, lam),
+              lambda lam: estimate_scalar_error(4, 0.5, lam), lambda lam: eval_scalar(form, lam)):
+        for bad in (np.array([2.0 + 1.0j]), np.complex128(2.0), np.array([3.0, 4.0], dtype=complex), [2.0 + 1.0j]):
+            with pytest.raises(ValueError, match="lambda must be real, got complex dtype complex128"):
+                f(bad)
+
+
 @pytest.mark.parametrize("alpha", (0.02, 0.25, 0.5, 0.75, 0.98))
 def test_scalar_estimate_bits_on_a_grid(alpha):
     # transliterations of g1, g2 and 4 sin(alpha pi) (g1 + g2), equal to the last bit
