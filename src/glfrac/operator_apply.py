@@ -65,9 +65,9 @@ def _check_finite(name: str, a: np.ndarray):
 def _real(name: str, a) -> np.ndarray:
     """a as a float array; complex input is refused, since the cast would drop its imaginary part."""
     a = np.asarray(a)
-    if np.iscomplexobj(a):
+    if a.dtype.kind == "c":
         raise ValueError(f"{name} must be real, got complex dtype {a.dtype}")
-    return np.asarray(a, dtype=float)
+    return a.astype(float, copy=False)
 
 
 class OperatorHandle(ABC):

@@ -60,9 +60,9 @@ def check_alpha(alpha: float) -> float:
 def _as_lambda(lam):
     """Validate real, finite lambda >= 1 and report whether the input was scalar."""
     arr = np.asarray(lam)
-    if np.iscomplexobj(arr):  # the cast to float would drop the imaginary part
+    if arr.dtype.kind == "c":  # the cast to float would drop the imaginary part
         raise ValueError(f"lambda must be real, got complex dtype {arr.dtype}")
-    arr = np.asarray(arr, dtype=float)
+    arr = arr.astype(float, copy=False)
     if not ((arr >= 1.0).all() and np.isfinite(arr).all()):
         raise ValueError("lambda out of range [1, inf)")
     return arr, arr.ndim == 0
