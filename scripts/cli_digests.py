@@ -31,8 +31,13 @@ from workloads import FigureSweep  # noqa: E402
 
 # eval_scalar takes one array pass up to 256 points and goes term by term
 # above. The figure-sweep tables evaluate 100 and 1000 eigenvalues at up to
-# 280 terms; this command adds 100 eigenvalues at up to 400 terms.
-EXTRA_COMMANDS = (("matrix-error", "--alpha", "0.5", "--nmax", "200", "--op", "diagpow:100:8"),)
+# 280 terms; the first command adds 100 eigenvalues at up to 400 terms. The
+# second reaches compare's clip at 1: fd1d:15's computed smallest eigenvalue
+# sits below its closed-form lambda_min.
+EXTRA_COMMANDS = (
+    ("matrix-error", "--alpha", "0.5", "--nmax", "200", "--op", "diagpow:100:8"),
+    ("compare", "--alpha", "0.5", "--spectrum", "fd1d:15", "--solves", "11,21"),
+)
 
 # Commands whose output must not depend on --parallel: on a diagonal handle
 # the right-hand side splits into row ranges, on fd1d and fd2d into column

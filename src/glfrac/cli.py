@@ -5,7 +5,8 @@ output is bit-reproducible and round-trips). Operators are named with a
 small colon-separated mini-language:
 
     diagpow:SIZE:EXP   eigenvalues j**EXP, j = 1..SIZE
-    diag:PATH          explicit eigenvalues, one float per line
+    diag:PATH          explicit eigenvalues, one float per line; like an
+                       apply --rhs file, it must be one column
     fd1d:M             Dirichlet Laplacian, M interior points
     fd2d:M             Dirichlet Laplacian on an M x M grid
     dense:PATH         dense SPD matrix; first line "dim lambda_min",
@@ -65,6 +66,13 @@ def _emit(header: str, rows, out: str | None):
     _write([header, *(",".join(_cell(x) for x in row) for row in rows)], out)
 
 
+def _read_column(path: str, what: str) -> np.ndarray:
+    column = np.loadtxt(path, dtype=float, ndmin=2)
+    if column.shape[1] != 1:
+        raise ValueError(f"{what} must be one column, got shape {column.shape} from {path}")
+    return column[:, 0]
+
+
 def parse_operator(spec: str):
     """Build an OperatorHandle from a mini-language string."""
     kind, _, rest = spec.partition(":")
@@ -76,8 +84,7 @@ def parse_operator(spec: str):
     if kind == "diag":
         if not rest:
             raise ValueError(f"bad operator spec: {spec}")
-        eigenvalues = np.loadtxt(rest, dtype=float, ndmin=1)
-        return DiagonalOperator(eigenvalues)
+        return DiagonalOperator(_read_column(rest, "eigenvalues"))
     if kind == "fd1d":
         return builtin_operator("fd-laplacian-1d", m=int(rest))
     if kind == "fd2d":
@@ -138,11 +145,16 @@ def _cmd_scalar_error(args):
     return 0
 
 
+def _unit_spectrum(op) -> np.ndarray:
+    """op's spectrum over lambda_min, clipped at 1: a computed eigenvalue may sit below a closed-form lambda_min."""
+    return np.maximum(op.spectrum() / op.lambda_min, 1.0)
+
+
 def _cmd_matrix_error(args):
     op = parse_operator(args.op)
     post = op.lambda_min ** (-args.alpha)
     if op.diagonal:
-        scaled_eigs = op.spectrum() / op.lambda_min
+        scaled_eigs = _unit_spectrum(op)
 
         def error(form):
             return post * oracle_diag_norm_error(scaled_eigs, form)
@@ -165,9 +177,7 @@ def _cmd_matrix_error(args):
 def _cmd_apply(args):
     op = parse_operator(args.op)
     if args.rhs is not None:
-        b = np.loadtxt(args.rhs, dtype=float, ndmin=1)
-        if b.ndim != 1:
-            raise ValueError(f"right-hand side must be one column, got shape {b.shape} from {args.rhs}")
+        b = _read_column(args.rhs, "right-hand side")
     else:
         b = np.random.default_rng(args.seed).standard_normal(op.dimension)
     form = build_rational(args.alpha, _plan_for(args.variant, args.n, args.alpha))
@@ -191,10 +201,8 @@ def _cmd_compare(args):
     budgets = sorted({int(tok) for tok in args.solves.split(",") if tok.strip()})
     if not budgets:
         raise ValueError("no solve budgets given")
-    eigs = op.spectrum()
     post = op.lambda_min ** (-args.alpha)
-    scaled = eigs / op.lambda_min
-    scaled[scaled < 1.0] = 1.0  # guard roundoff at the spectrum edge
+    scaled = _unit_spectrum(op)
     rows = []
     for budget in budgets:
         for variant in ("balanced", "equalized"):

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal, solveh_banded
 
-from .scalar_core import RationalForm
+from .scalar_core import RationalForm, _real
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -60,14 +60,6 @@ def _check_finite(name: str, a: np.ndarray):
         first = np.argwhere(bad)[0].tolist()
         raise ValueError(f"{name} must be finite: {int(bad.sum())} of {a.size} are NaN or inf, "
                          f"the first at index {first[0] if a.ndim == 1 else tuple(first)}")
-
-
-def _real(name: str, a) -> np.ndarray:
-    """a as a float array; complex input is refused, since the cast would drop its imaginary part."""
-    a = np.asarray(a)
-    if a.dtype.kind == "c":
-        raise ValueError(f"{name} must be real, got complex dtype {a.dtype}")
-    return a.astype(float, copy=False)
 
 
 class OperatorHandle(ABC):

@@ -57,12 +57,17 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _real(name: str, a) -> np.ndarray:
+    """a as a float array; complex input is refused, since the cast would drop its imaginary part."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got complex dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def _as_lambda(lam):
     """Validate real, finite lambda >= 1 and report whether the input was scalar."""
-    arr = np.asarray(lam)
-    if arr.dtype.kind == "c":  # the cast to float would drop the imaginary part
-        raise ValueError(f"lambda must be real, got complex dtype {arr.dtype}")
-    arr = arr.astype(float, copy=False)
+    arr = _real("lambda", lam)
     if not ((arr >= 1.0).all() and np.isfinite(arr).all()):
         raise ValueError("lambda out of range [1, inf)")
     return arr, arr.ndim == 0

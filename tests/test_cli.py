@@ -191,6 +191,14 @@ def test_bad_inputs_exit_nonzero(tmp_path, capsys):
     assert main(["apply", "--op", "diagpow:3:1", "--alpha", "0.5", "--n", "4", "--rhs", str(rhs)]) == 1
     captured = capsys.readouterr()
     assert "error: right-hand side must be one column, got shape (3, 2)" in captured.err and captured.out == ""
+    # one line of several numbers is a row, not a vector, for --rhs and for diag:PATH alike
+    rhs.write_text("1 2 3 4\n")
+    for argv in (["apply", "--op", "fd1d:4", "--alpha", "0.5", "--n", "4", "--rhs", str(rhs)],
+                 ["compare", "--alpha", "0.5", "--spectrum", f"diag:{rhs}", "--solves", "5"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "must be one column, got shape (1, 4)" in captured.err and captured.out == ""
+        assert captured.err.startswith("error: ")
     assert main(["compare", "--alpha", "0.5", "--spectrum", "diagpow:10:2", "--solves", "10"]) == 1
     assert "odd" in capsys.readouterr().err
     # refused by the dense cap before the tridiagonal matrix is assembled
@@ -253,6 +261,15 @@ def test_compare_table(tmp_path):
     assert all(s <= 41 for s in bal_solves)
     bal_best = min(v for (m, _), v in by_key.items() if m == "balanced")
     assert bal_best < by_key[("sinc", 41)]
+
+
+def test_compare_clips_the_unit_spectrum_at_one(capsys):
+    # fd1d:15's computed smallest eigenvalue sits a few ulps below its closed-form lambda_min;
+    # unclipped, the oracles would refuse the scaled spectrum as out of range
+    op = parse_operator("fd1d:15")
+    assert op.spectrum().min() < op.lambda_min
+    assert main(["compare", "--alpha", "0.5", "--spectrum", "fd1d:15", "--solves", "11,21"]) == 0
+    assert capsys.readouterr().out.startswith("method,solves,error\n")
 
 
 @pytest.mark.parametrize("variant, plan", [("balanced", plan_balanced), ("equalized", plan_equalized)])

@@ -25,11 +25,15 @@ from glfrac import (
     lambda_n_exact,
     lambda_n_tilde,
     n_star,
+    oracle_diag_norm_error,
+    oracle_integral,
+    oracle_scalar_power,
     order_ranges,
     plan_balanced,
     plan_equalized,
     plan_full,
     select_n,
+    sinc_baseline_error,
 )
 from glfrac.scalar_core import _ONE_SHOT_POINTS
 
@@ -69,10 +73,13 @@ def test_lambda_checks_refuse_nan_and_accept_empty():
 
 
 def test_lambda_checks_refuse_complex():
-    # casting a complex array to float would evaluate at the real part and only warn
+    # casting a complex array to float would evaluate at the real part and only warn;
+    # the oracles check lambda and spectra with the same rule
     form = build_rational(0.5, plan_full(4))
     for f in (lambda lam: gamma_pm(lam)[1], lambda lam: g1(4, 0.5, lam), lambda lam: g2(4, 0.5, lam),
-              lambda lam: estimate_scalar_error(4, 0.5, lam), lambda lam: eval_scalar(form, lam)):
+              lambda lam: estimate_scalar_error(4, 0.5, lam), lambda lam: eval_scalar(form, lam),
+              lambda lam: oracle_scalar_power(lam, 0.5), lambda lam: oracle_integral(1, lam, 0.5),
+              lambda lam: oracle_diag_norm_error(lam, form), lambda lam: sinc_baseline_error(lam, 0.5, 11)):
         for bad in (np.array([2.0 + 1.0j]), np.complex128(2.0), np.array([3.0, 4.0], dtype=complex), [2.0 + 1.0j]):
             with pytest.raises(ValueError, match="lambda must be real, got complex dtype complex128"):
                 f(bad)
