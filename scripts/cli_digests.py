@@ -33,10 +33,12 @@ from workloads import FigureSweep  # noqa: E402
 # above. The figure-sweep tables evaluate 100 and 1000 eigenvalues at up to
 # 280 terms; the first command adds 100 eigenvalues at up to 400 terms. The
 # second reaches compare's clip at 1: fd1d:15's computed smallest eigenvalue
-# sits below its closed-form lambda_min.
+# sits below its closed-form lambda_min. The third solves 1 x 1 tridiagonal
+# systems, which are one quotient each, not a factorization.
 EXTRA_COMMANDS = (
     ("matrix-error", "--alpha", "0.5", "--nmax", "200", "--op", "diagpow:100:8"),
     ("compare", "--alpha", "0.5", "--spectrum", "fd1d:15", "--solves", "11,21"),
+    ("apply", "--op", "fd1d:1", "--alpha", "0.5", "--n", "4", "--seed", "5"),
 )
 
 # Commands whose output must not depend on --parallel: on a diagonal handle

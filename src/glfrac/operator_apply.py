@@ -16,7 +16,8 @@ from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal, solveh_banded
+from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dptsv
 
 from .scalar_core import RationalForm, _real
 
@@ -38,6 +39,11 @@ __all__ = [
 # DenseOperator, to_dense() and dense_fractional_inverse. Applies through
 # the diagonal, tridiagonal and Kronecker-sum handles are not capped.
 DENSE_DIM_CAP = 2000
+
+# Most rows in one piece of a diagonal apply (see apply_fractional_inverse),
+# chosen by paired timings of 2**13, 2**14 and 2**15: a piece's few
+# temporaries then fit in a 2 MB L2 cache.
+_BLOCK_ROWS = 2**15
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -72,7 +78,7 @@ class OperatorHandle(ABC):
     the shifts and B, and solves a vector (dim,) as a block of one column.
     The class attribute diagonal is True when a form acts entrywise on
     spectrum(), as on diag(eigenvalues); then rows are independent too, and
-    a parallel apply splits B into the row views that _rows returns.
+    an apply splits B into the row views that _rows returns.
     """
 
     diagonal = False
@@ -139,7 +145,7 @@ class DiagonalOperator(OperatorHandle):
 
 
 class TridiagonalOperator(OperatorHandle):
-    """Symmetric tridiagonal operator solved by banded Cholesky.
+    """Symmetric tridiagonal operator; solves call LAPACK ptsv (an L D L^T factorization).
 
     The smallest eigenvalue is computed once at construction. A lambda_min
     known in closed form may be passed instead and is kept, provided it
@@ -173,15 +179,18 @@ class TridiagonalOperator(OperatorHandle):
         return eigvalsh_tridiagonal(self.diag, self.off)
 
     def _shifted_solve(self, sigma, tau, b):
-        # lower band storage; at dimension 1 the band is the diagonal row alone
-        ab = np.zeros((min(2, self.dimension), self.dimension))
-        ab[0] = sigma + tau * self.diag
-        ab[1:, :-1] = tau * self.off
-        try:
-            return solveh_banded(ab, b, overwrite_ab=True, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                f"operator not positive definite: sigma={sigma!r}, tau={tau!r}: {exc}") from exc
+        d = tau * self.diag
+        d += sigma
+        if self.dimension == 1:
+            # ptsv refuses an empty off-diagonal; a 1 x 1 system is one quotient
+            x, info = b / d[:, None], 0 if d[0] > 0.0 else 1
+        else:
+            # b is left as it is: an apply solves the same right-hand side for every term
+            _, _, x, info = dptsv(d, tau * self.off, b, overwrite_d=True, overwrite_e=True)
+        if info > 0:
+            raise NotPositiveDefiniteError(f"operator not positive definite: sigma={sigma!r}, tau={tau!r}: "
+                                           f"{info}th leading minor not positive definite")
+        return x
 
     def to_dense(self) -> np.ndarray:
         _check_dense_dim(self.dimension)
@@ -324,13 +333,17 @@ def apply_fractional_inverse(
     (sigma I + (tau / lambda_min) L) X = B, and the solutions are added up
     in the order of form.terms().
 
-    A parallel apply splits B into at most max_workers pieces (default
-    os.cpu_count()) and runs that same loop on each piece, one thread per
-    piece: into row ranges on a diagonal handle, into column groups on any
-    other. So a vector on a coupled handle is one piece and runs on the
-    calling thread. Every entry goes through the same operations in the
-    same order either way, so parallel output is bit-identical to serial
-    output. Each piece runs all k1 + k2 solves.
+    B is split into pieces, and each piece runs that same loop: row ranges
+    on a diagonal handle, column groups on any other. A diagonal handle's
+    rows go into max(1, min(workers, rows), ceil(rows / _BLOCK_ROWS))
+    near-equal pieces, so each term's temporaries over a piece stay in
+    cache; columns go into max(1, min(workers, columns)) groups, so a
+    vector on a coupled handle is one piece. A serial apply has one
+    worker, a parallel one has max_workers (default os.cpu_count()). With
+    one worker the pieces run in turn on the calling thread, otherwise on
+    a pool of min(workers, pieces) threads. Every entry goes through the
+    same operations in the same order either way, so parallel output is
+    bit-identical to serial output. Each piece runs all k1 + k2 solves.
     """
     if max_workers is not None and (isinstance(max_workers, bool)
                                     or not (isinstance(max_workers, numbers.Integral) and max_workers >= 1)):
@@ -339,13 +352,14 @@ def apply_fractional_inverse(
     _check_finite("right-hand side", b)
     block = b.reshape(op.dimension, -1)
     scale = op.lambda_min ** (-form.alpha)
+    terms = [(fam, j, c, sigma, tau / op.lambda_min) for fam, j, c, sigma, tau in form.terms()]
     out = np.zeros(block.shape)
 
     def accumulate(handle, index):
         rhs, acc = block[index], out[index]
-        for fam, j, c, sigma, tau in form.terms():
+        for fam, j, c, sigma, tau in terms:
             try:
-                sol = handle.shifted_solve(sigma, tau / op.lambda_min, rhs)
+                sol = handle.shifted_solve(sigma, tau, rhs)
             except Exception as exc:
                 raise RuntimeError(f"shifted solve failed (family {fam}, node {j}): {exc}") from exc
             acc += c * sol
@@ -353,14 +367,16 @@ def apply_fractional_inverse(
 
     workers = (max_workers or os.cpu_count() or 1) if parallel else 1
     extent = block.shape[0 if op.diagonal else 1]
-    p = max(1, min(workers, extent))
-    if p == 1:
-        accumulate(op, ...)
+    p = max(1, min(workers, extent), math.ceil(extent / _BLOCK_ROWS) if op.diagonal else 1)
+    bounds = [i * extent // p for i in range(p + 1)]
+    pieces = [(op._rows(lo, hi), np.s_[lo:hi]) if op.diagonal else (op, np.s_[:, lo:hi])
+              for lo, hi in zip(bounds, bounds[1:])]
+    threads = min(workers, p)
+    if threads == 1:
+        for piece in pieces:
+            accumulate(*piece)
     else:
-        bounds = [i * extent // p for i in range(p + 1)]
-        pieces = [(op._rows(lo, hi), np.s_[lo:hi]) if op.diagonal else (op, np.s_[:, lo:hi])
-                  for lo, hi in zip(bounds, bounds[1:])]
-        with ThreadPoolExecutor(max_workers=p) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             for future in [pool.submit(accumulate, *piece) for piece in pieces]:
                 future.result()
     return out.reshape(b.shape)

@@ -41,10 +41,18 @@ class OracleResult:
     evaluations: int
 
 
+def _scalar_lambda(lam) -> float:
+    """lam as a float after _as_lambda's checks; an array of any shape other than () is refused."""
+    arr, scalar = _as_lambda(lam)
+    if not scalar:
+        raise ValueError(f"lambda must be a scalar, got shape {arr.shape}")
+    return float(arr)
+
+
 def oracle_scalar_power(lam: float, alpha: float) -> float:
     """Reference lambda**(-alpha) = exp(-alpha ln lambda) for lambda >= 1."""
     alpha = check_alpha(alpha)
-    lam = float(_as_lambda(lam)[0])
+    lam = _scalar_lambda(lam)
     return math.exp(-alpha * math.log(lam))
 
 
@@ -96,7 +104,7 @@ def oracle_integral(
     AccuracyNotReachedError when the budget runs out first.
     """
     alpha = check_alpha(alpha)
-    lam = float(_as_lambda(lam)[0])
+    lam = _scalar_lambda(lam)
     if family == 1:
         scale = alpha
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.fft import dstn
+from scipy.linalg import solveh_banded
 
 from glfrac import (
     DENSE_DIM_CAP,
@@ -83,27 +84,33 @@ def test_parallel_output_bit_identical(count_solves):
     apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
     assert len(count_solves) == 60
     # B splits into pieces (row ranges on a diagonal handle, column groups on any
-    # other, a vector being one column); each piece runs the whole term loop
-    handles = {**_handles(), "diagonal-10k": builtin_operator("diag-power", size=10_000, exponent=2.0)}
+    # other, a vector being one column), at least ceil(rows / 2**15) row ranges;
+    # each piece runs the whole term loop
+    handles = {**_handles(), "diagonal-10k": builtin_operator("diag-power", size=10_000, exponent=2.0),
+               "diagonal-40k": builtin_operator("diag-power", size=40_000, exponent=2.0)}
     form = _form(0.75, 20, "equalized")
     terms = form.k1 + form.k2
     rng = np.random.default_rng(3)
+
+    def pieces(op, extent, workers):
+        return max(1, min(workers, extent), math.ceil(extent / 2**15) if op.diagonal else 1)
+
     for name, op in handles.items():
         for r in (None, 0, 1, 4):
             b = rng.standard_normal(op.dimension if r is None else (op.dimension, r))
+            extent = op.dimension if op.diagonal else 1 if r is None else r
             count_solves.clear()
             serial = apply_fractional_inverse(op, b, form)
-            assert len(count_solves) == terms
-            extent = op.dimension if op.diagonal else 1 if r is None else r
+            assert len(count_solves) == pieces(op, extent, 1) * terms, (name, r)
             for workers in (1, 2, 3, 4):
                 count_solves.clear()
                 threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=workers)
                 assert threaded.shape == serial.shape and np.array_equal(threaded, serial), (name, r, workers)
-                assert len(count_solves) == max(1, min(workers, extent)) * terms, (name, r, workers)
+                assert len(count_solves) == pieces(op, extent, workers) * terms, (name, r, workers)
 
 
-def test_parallel_row_pieces_are_unvalidated_diagonal_views(monkeypatch, count_solves):
-    op = builtin_operator("diag-power", size=1000, exponent=2.0)
+def _diagonal_inits(monkeypatch):
+    """A list that gets the arguments of every DiagonalOperator construction."""
     inits = []
     original_init = DiagonalOperator.__init__
 
@@ -112,10 +119,36 @@ def test_parallel_row_pieces_are_unvalidated_diagonal_views(monkeypatch, count_s
         original_init(self, *args, **kwargs)
 
     monkeypatch.setattr(DiagonalOperator, "__init__", init)
+    return inits
+
+
+def test_parallel_row_pieces_are_unvalidated_diagonal_views(monkeypatch, count_solves):
+    op = builtin_operator("diag-power", size=1000, exponent=2.0)
+    inits = _diagonal_inits(monkeypatch)
     form = _form(0.5, 10)
     apply_fractional_inverse(op, np.ones(1000), form, parallel=True, max_workers=3)
     assert sorted(set(count_solves)) == [(DiagonalOperator, 333), (DiagonalOperator, 334)]
     assert len(count_solves) == 3 * (form.k1 + form.k2) and inits == []
+
+
+def test_diagonal_apply_runs_cache_sized_row_pieces(monkeypatch, count_solves):
+    op = builtin_operator("diag-power", size=80_000, exponent=2.0)
+    inits = _diagonal_inits(monkeypatch)
+    form = _form(0.5, 10)
+    terms = form.k1 + form.k2
+    b = np.random.default_rng(4).standard_normal(80_000)
+    serial = apply_fractional_inverse(op, b, form)
+    # ceil(80000 / 2**15) = 3 near-equal row ranges, one after another on the calling thread
+    assert count_solves == [(DiagonalOperator, 26666)] * terms + [(DiagonalOperator, 26667)] * (2 * terms)
+    assert inits == []
+    for workers in (1, 2, 3, 4):
+        threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=workers)
+        assert np.array_equal(threaded, serial), workers
+    reference = np.zeros(80_000)
+    for _, _, c, sigma, tau in form.terms():
+        reference += c * (b / (sigma + (tau / op.lambda_min) * op.eigenvalues))
+    reference *= op.lambda_min ** (-form.alpha)
+    assert np.array_equal(serial, reference)
 
 
 def test_parallel_coupled_vector_runs_without_a_pool(monkeypatch):
@@ -492,6 +525,35 @@ def test_tridiagonal_indefinite_shift_raises():
     op.off[:] = -2.0  # eigenvalues -1, 3
     with pytest.raises(NotPositiveDefiniteError, match="operator not positive definite: sigma=0.0, tau=1.0"):
         op.shifted_solve(0.0, 1.0, np.ones(2))
+    op = TridiagonalOperator([2.0], [])
+    op.diag[:] = -1.0
+    with pytest.raises(NotPositiveDefiniteError, match="operator not positive definite: sigma=0.5, tau=1.0"):
+        op.shifted_solve(0.5, 1.0, np.ones(1))
+
+
+def test_tridiagonal_solve_matches_solveh_banded():
+    # the solve calls LAPACK ptsv, as solveh_banded does on a two-row band
+    rng = np.random.default_rng(8)
+    for m in (2, 3, 50, 1000):
+        op = builtin_operator("fd-laplacian-1d", m=m)
+        block = rng.standard_normal((m, 4))
+        for sigma, tau in ((1.0, 0.3), (0.02, 1.0), (3.5, 0.0), (0.0, 2.0)):
+            ab = np.zeros((2, m))
+            ab[0] = sigma + tau * op.diag
+            ab[1, :-1] = tau * op.off
+            for b in (block[:, 0], block, block[:, 1:3]):
+                before = b.copy()
+                x = op.shifted_solve(sigma, tau, b)
+                assert np.array_equal(x, solveh_banded(ab, b, lower=True)), (m, sigma, tau, b.shape)
+                assert np.array_equal(b, before)
+
+
+def test_tridiagonal_one_point_solve_is_the_quotient():
+    op = TridiagonalOperator([3.0], [])
+    rng = np.random.default_rng(9)
+    for sigma, tau in rng.uniform(0.0, 10.0, (200, 2)):
+        b = rng.standard_normal((1, 3))
+        assert np.array_equal(op.shifted_solve(sigma, tau, b), b / (sigma + tau * op.diag))
 
 
 def test_shift_validation():

@@ -35,6 +35,14 @@ def test_scalar_power_trivia():
             oracle_scalar_power(bad, 0.5)
 
 
+def test_oracles_refuse_a_non_scalar_lambda():
+    with pytest.raises(ValueError, match=r"lambda must be a scalar, got shape \(1,\)"):
+        oracle_scalar_power(np.array([2.0]), 0.5)
+    with pytest.raises(ValueError, match=r"lambda must be a scalar, got shape \(1,\)"):
+        oracle_integral(1, [2.0], 0.5)
+    assert oracle_scalar_power(np.array(4.0), 0.5) == 0.5
+
+
 def test_integral_combination_reproduces_power():
     for alpha, lam in ((0.5, 10.0), (0.25, 3.0), (0.9, 1.5), (0.1, 1e10)):
         p1, p2 = _prefactors(alpha)
