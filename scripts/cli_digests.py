@@ -34,24 +34,23 @@ from workloads import FigureSweep  # noqa: E402
 # 280 terms; the first command adds 100 eigenvalues at up to 400 terms. The
 # second reaches compare's clip at 1: fd1d:15's computed smallest eigenvalue
 # sits below its closed-form lambda_min. The third solves 1 x 1 tridiagonal
-# systems, which are one quotient each, not a factorization.
+# systems, which are one quotient each, not a factorization. The last two
+# materialize dense inverses on the tridiagonal and Kronecker-sum handles.
 EXTRA_COMMANDS = (
     ("matrix-error", "--alpha", "0.5", "--nmax", "200", "--op", "diagpow:100:8"),
     ("compare", "--alpha", "0.5", "--spectrum", "fd1d:15", "--solves", "11,21"),
     ("apply", "--op", "fd1d:1", "--alpha", "0.5", "--n", "4", "--seed", "5"),
-)
-
-# Commands whose output must not depend on --parallel: on a diagonal handle
-# the right-hand side splits into row ranges, on fd1d and fd2d into column
-# groups, so a vector there runs as one piece and the identity blocks of
-# matrix-error's dense inverses split.
-THREADED_COMMANDS = (
-    *(("apply", "--op", op, "--alpha", alpha, "--n", "40", "--variant", variant, "--seed", "5")
-      for op, alpha, variant in itertools.product(("diagpow:20000:2", "fd1d:300", "fd2d:20"), ("0.25", "0.75"),
-                                                  ("balanced", "equalized"))),
     ("matrix-error", "--alpha", "0.5", "--nmax", "4", "--op", "fd1d:12"),
     ("matrix-error", "--alpha", "0.5", "--nmax", "2", "--op", "fd2d:3"),
 )
+
+# Commands whose output must not depend on --parallel: on a diagonal handle
+# the right-hand side splits into row ranges that run on a pool, while fd1d
+# and fd2d solve it as one piece on the calling thread.
+THREADED_COMMANDS = tuple(
+    ("apply", "--op", op, "--alpha", alpha, "--n", "40", "--variant", variant, "--seed", "5")
+    for op, alpha, variant in itertools.product(("diagpow:20000:2", "fd1d:300", "fd2d:20"), ("0.25", "0.75"),
+                                                ("balanced", "equalized")))
 
 
 def _sha256(data: bytes) -> str:

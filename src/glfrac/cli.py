@@ -163,7 +163,7 @@ def _cmd_matrix_error(args):
         exact_power = (v * w ** (-args.alpha)) @ v.T
 
         def error(form):
-            approx = dense_fractional_inverse(op, form, parallel=args.parallel)
+            approx = dense_fractional_inverse(op, form)
             return float(np.linalg.norm(exact_power - approx, 2))
     rows = []
     for n in range(1, args.nmax + 1):
@@ -255,7 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--op", required=True)
     p.add_argument("--variant", choices=("full", "balanced", "equalized"), default="full")
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_matrix_error)
 

@@ -59,6 +59,11 @@ def _check_dense_dim(dim: int):
         raise ValueError(f"dimension too large for dense assembly: {dim} > {DENSE_DIM_CAP}")
 
 
+def _is_count(x) -> bool:
+    """True for an integer >= 1 that is not a bool."""
+    return not isinstance(x, bool) and isinstance(x, numbers.Integral) and x >= 1
+
+
 def _check_finite(name: str, a: np.ndarray):
     """Refuse NaN and inf in a, naming how many there are and where the first one is."""
     bad = ~np.isfinite(a)
@@ -84,12 +89,12 @@ class OperatorHandle(ABC):
     diagonal = False
 
     def __init__(self, dimension: int, lambda_min: float):
-        dimension = int(dimension)
-        if dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        if not lambda_min > 0.0:
-            raise ValueError("lambda_min must be positive")
-        self.dimension = dimension
+        if not _is_count(dimension):
+            raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
+        # NaN fails both comparisons; inf would scale every apply to zero
+        if not 0.0 < lambda_min < math.inf:
+            raise ValueError(f"lambda_min must be finite and positive, got {lambda_min!r}")
+        self.dimension = int(dimension)
         self.lambda_min = float(lambda_min)
 
     def _check_rhs(self, b) -> np.ndarray:
@@ -284,9 +289,6 @@ class KroneckerSumOperator(OperatorHandle):
 
 def _fd1d_stencil(m: int):
     """Dirichlet second-difference stencil on m interior points of (0, 1)."""
-    m = int(m)
-    if m < 1:
-        raise ValueError("grid size must be at least 1")
     h = 1.0 / (m + 1)
     diag = np.full(m, 2.0 / h**2)
     off = np.full(m - 1, -1.0 / h**2)
@@ -304,19 +306,17 @@ def builtin_operator(kind: str, **params) -> OperatorHandle:
     "fd-laplacian-2d": Dirichlet Laplacian on an m x m grid, as the Kronecker
                        sum of the 1-d one with itself.
     """
+    names = {"diag-power": "size", "fd-laplacian-1d": "m", "fd-laplacian-2d": "m"}
+    if kind not in names:
+        raise ValueError(f"unknown operator kind: {kind}")
+    name = names[kind]
+    if not _is_count(params[name]):
+        raise ValueError(f"{name} must be an integer >= 1, got {params[name]!r}")
     if kind == "diag-power":
-        size = int(params["size"])
-        exponent = float(params["exponent"])
-        if size < 1:
-            raise ValueError("size must be at least 1")
-        return DiagonalOperator(np.arange(1.0, size + 1.0) ** exponent)
-    if kind == "fd-laplacian-1d":
-        diag, off, lam_min = _fd1d_stencil(params["m"])
-        return TridiagonalOperator(diag, off, lambda_min=lam_min)
-    if kind == "fd-laplacian-2d":
-        diag, off, lam_min = _fd1d_stencil(params["m"])
-        return KroneckerSumOperator(TridiagonalOperator(diag, off, lambda_min=lam_min))
-    raise ValueError(f"unknown operator kind: {kind}")
+        return DiagonalOperator(np.arange(1.0, params["size"] + 1.0) ** float(params["exponent"]))
+    diag, off, lam_min = _fd1d_stencil(int(params["m"]))
+    t = TridiagonalOperator(diag, off, lambda_min=lam_min)
+    return t if kind == "fd-laplacian-1d" else KroneckerSumOperator(t)
 
 
 def apply_fractional_inverse(
@@ -333,20 +333,18 @@ def apply_fractional_inverse(
     (sigma I + (tau / lambda_min) L) X = B, and the solutions are added up
     in the order of form.terms().
 
-    B is split into pieces, and each piece runs that same loop: row ranges
-    on a diagonal handle, column groups on any other. A diagonal handle's
-    rows go into max(1, min(workers, rows), ceil(rows / _BLOCK_ROWS))
-    near-equal pieces, so each term's temporaries over a piece stay in
-    cache; columns go into max(1, min(workers, columns)) groups, so a
-    vector on a coupled handle is one piece. A serial apply has one
-    worker, a parallel one has max_workers (default os.cpu_count()). With
-    one worker the pieces run in turn on the calling thread, otherwise on
-    a pool of min(workers, pieces) threads. Every entry goes through the
-    same operations in the same order either way, so parallel output is
-    bit-identical to serial output. Each piece runs all k1 + k2 solves.
+    A diagonal handle's rows are independent, so its B goes into
+    max(min(workers, rows), ceil(rows / _BLOCK_ROWS)) near-equal row ranges,
+    each running that same loop with all k1 + k2 solves; each term's
+    temporaries over a range then stay in cache. A serial apply has one
+    worker, a parallel one has max_workers (default os.cpu_count()); with
+    more than one worker the ranges run on a pool of min(workers, ranges)
+    threads, otherwise in turn on the calling thread. Every entry goes
+    through the same operations in the same order either way, so parallel
+    output is bit-identical to serial output. Any other handle solves the
+    whole block as one piece on the calling thread, whatever parallel says.
     """
-    if max_workers is not None and (isinstance(max_workers, bool)
-                                    or not (isinstance(max_workers, numbers.Integral) and max_workers >= 1)):
+    if max_workers is not None and not _is_count(max_workers):
         raise ValueError(f"max_workers must be None or an integer >= 1, got {max_workers!r}")
     b = op._check_rhs(b)
     _check_finite("right-hand side", b)
@@ -366,11 +364,10 @@ def apply_fractional_inverse(
         acc *= scale
 
     workers = (max_workers or os.cpu_count() or 1) if parallel else 1
-    extent = block.shape[0 if op.diagonal else 1]
-    p = max(1, min(workers, extent), math.ceil(extent / _BLOCK_ROWS) if op.diagonal else 1)
-    bounds = [i * extent // p for i in range(p + 1)]
-    pieces = [(op._rows(lo, hi), np.s_[lo:hi]) if op.diagonal else (op, np.s_[:, lo:hi])
-              for lo, hi in zip(bounds, bounds[1:])]
+    rows = op.dimension
+    p = max(min(workers, rows), math.ceil(rows / _BLOCK_ROWS)) if op.diagonal else 1
+    bounds = [i * rows // p for i in range(p + 1)]
+    pieces = [(op._rows(lo, hi) if op.diagonal else op, np.s_[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     threads = min(workers, p)
     if threads == 1:
         for piece in pieces:
@@ -382,7 +379,7 @@ def apply_fractional_inverse(
     return out.reshape(b.shape)
 
 
-def dense_fractional_inverse(op: OperatorHandle, form: RationalForm, parallel: bool = False) -> np.ndarray:
+def dense_fractional_inverse(op: OperatorHandle, form: RationalForm) -> np.ndarray:
     """Materialize the approximation of L**(-alpha) with one block solve of the identity per retained node."""
     _check_dense_dim(op.dimension)
-    return apply_fractional_inverse(op, np.eye(op.dimension), form, parallel=parallel)
+    return apply_fractional_inverse(op, np.eye(op.dimension), form)

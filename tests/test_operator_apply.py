@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from glfrac import (
     DimensionMismatchError,
     KroneckerSumOperator,
     NotPositiveDefiniteError,
+    OperatorHandle,
     TridiagonalOperator,
     apply_fractional_inverse,
     build_rational,
@@ -83,30 +85,29 @@ def test_parallel_output_bit_identical(count_solves):
     count_solves.clear()
     apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
     assert len(count_solves) == 60
-    # B splits into pieces (row ranges on a diagonal handle, column groups on any
-    # other, a vector being one column), at least ceil(rows / 2**15) row ranges;
-    # each piece runs the whole term loop
+    # a diagonal handle's B splits into at least ceil(rows / 2**15) row ranges;
+    # any other handle's B is one piece; each piece runs the whole term loop
     handles = {**_handles(), "diagonal-10k": builtin_operator("diag-power", size=10_000, exponent=2.0),
                "diagonal-40k": builtin_operator("diag-power", size=40_000, exponent=2.0)}
     form = _form(0.75, 20, "equalized")
     terms = form.k1 + form.k2
     rng = np.random.default_rng(3)
 
-    def pieces(op, extent, workers):
-        return max(1, min(workers, extent), math.ceil(extent / 2**15) if op.diagonal else 1)
+    def pieces(op, workers):
+        rows = op.dimension
+        return max(min(workers, rows), math.ceil(rows / 2**15)) if op.diagonal else 1
 
     for name, op in handles.items():
         for r in (None, 0, 1, 4):
             b = rng.standard_normal(op.dimension if r is None else (op.dimension, r))
-            extent = op.dimension if op.diagonal else 1 if r is None else r
             count_solves.clear()
             serial = apply_fractional_inverse(op, b, form)
-            assert len(count_solves) == pieces(op, extent, 1) * terms, (name, r)
+            assert len(count_solves) == pieces(op, 1) * terms, (name, r)
             for workers in (1, 2, 3, 4):
                 count_solves.clear()
                 threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=workers)
                 assert threaded.shape == serial.shape and np.array_equal(threaded, serial), (name, r, workers)
-                assert len(count_solves) == pieces(op, extent, workers) * terms, (name, r, workers)
+                assert len(count_solves) == pieces(op, workers) * terms, (name, r, workers)
 
 
 def _diagonal_inits(monkeypatch):
@@ -152,13 +153,17 @@ def test_diagonal_apply_runs_cache_sized_row_pieces(monkeypatch, count_solves):
 
 
 def test_parallel_coupled_vector_runs_without_a_pool(monkeypatch):
+    # a coupled handle solves any B, vector or block, as one piece on the calling thread
     monkeypatch.setattr(operator_apply, "ThreadPoolExecutor", None)
     form = _form(0.5, 10)
     for kind in ("tridiagonal", "dense", "kronecker"):
         op = _handles()[kind]
-        b = np.random.default_rng(2).standard_normal(op.dimension)
-        threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
-        assert np.array_equal(threaded, apply_fractional_inverse(op, b, form))
+        rng = np.random.default_rng(2)
+        for b in (rng.standard_normal(op.dimension), *(rng.standard_normal((op.dimension, r)) for r in (0, 1, 4))):
+            threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
+            assert np.array_equal(threaded, apply_fractional_inverse(op, b, form)), (kind, b.shape)
+        threaded = apply_fractional_inverse(op, np.eye(op.dimension), form, parallel=True, max_workers=4)
+        assert np.array_equal(threaded, dense_fractional_inverse(op, form)), kind
 
 
 @pytest.mark.parametrize("parallel", [False, True])
@@ -414,8 +419,17 @@ def test_builtin_diag_power():
     op = builtin_operator("diag-power", size=5, exponent=8.0)
     np.testing.assert_array_equal(op.eigenvalues, np.arange(1.0, 6.0) ** 8)
     assert op.lambda_min == 1.0
+    assert np.array_equal(builtin_operator("diag-power", size=np.int64(5), exponent=8.0).eigenvalues, op.eigenvalues)
     with pytest.raises(ValueError, match="unknown operator kind"):
         builtin_operator("spectral-unicorn")
+    # sizes are never truncated: a non-integer, a bool or a size below 1 is refused by name
+    for bad in (2.5, 3.0, 0, -1, math.inf, math.nan, True, False, "3"):
+        with pytest.raises(ValueError, match=rf"^size must be an integer >= 1, got {re.escape(repr(bad))}$"):
+            builtin_operator("diag-power", size=bad, exponent=2.0)
+        for kind in ("fd-laplacian-1d", "fd-laplacian-2d"):
+            with pytest.raises(ValueError, match=rf"^m must be an integer >= 1, got {re.escape(repr(bad))}$"):
+                builtin_operator(kind, m=bad)
+    assert builtin_operator("fd-laplacian-2d", m=np.int64(3)).dimension == 9
 
 
 def test_rejects_non_positive_spectra():
@@ -427,6 +441,25 @@ def test_rejects_non_positive_spectra():
         TridiagonalOperator(np.array([0.1, 0.1]), np.array([-1.0]))
     with pytest.raises(ValueError, match="operator not symmetric"):
         DenseOperator(np.array([[1.0, 0.5], [0.0, 1.0]]), lambda_min=0.5)
+
+
+def test_handle_checks_dimension_and_lambda_min():
+    class Scaled(OperatorHandle):
+        def _shifted_solve(self, sigma, tau, b):
+            return b / (sigma + tau * self.lambda_min)
+
+    form = _form(0.5, 5)
+    x = apply_fractional_inverse(Scaled(3, 4.0), np.ones(3), form)
+    assert np.all(np.abs(x - 0.5) <= 3.0 * estimate_operator_error(5, 0.5).value * 0.5)
+    # an infinite lambda_min would scale every apply to zero
+    for bad in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match=rf"^lambda_min must be finite and positive, got {bad!r}$"):
+            Scaled(3, bad)
+        with pytest.raises(ValueError, match=rf"^lambda_min must be finite and positive, got {bad!r}$"):
+            DenseOperator(np.eye(3), lambda_min=bad)
+    for bad in (2.5, 0, True, math.inf):
+        with pytest.raises(ValueError, match=rf"^dimension must be an integer >= 1, got {bad!r}$"):
+            Scaled(bad, 1.0)
 
 
 def test_dimension_checks():
