@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import eigh
 
-from .quadrature import gauss_laguerre
+from .quadrature import check_order, gauss_laguerre
 from .scalar_core import (
     build_rational,
     estimate_operator_error,
@@ -135,9 +135,10 @@ def _cmd_select_n(args):
 
 
 def _cmd_scalar_error(args):
+    nmax = check_order(args.nmax)
     exact = oracle_scalar_power(args.lam, args.alpha)
     rows = []
-    for n in range(1, args.nmax + 1):
+    for n in range(1, nmax + 1):
         form = build_rational(args.alpha, plan_full(n))
         err = abs(exact - eval_scalar(form, args.lam))
         rows.append((n, err, estimate_scalar_error(n, args.alpha, args.lam)))
@@ -151,6 +152,7 @@ def _unit_spectrum(op) -> np.ndarray:
 
 
 def _cmd_matrix_error(args):
+    nmax = check_order(args.nmax)
     op = parse_operator(args.op)
     post = op.lambda_min ** (-args.alpha)
     if op.diagonal:
@@ -166,7 +168,7 @@ def _cmd_matrix_error(args):
             approx = dense_fractional_inverse(op, form)
             return float(np.linalg.norm(exact_power - approx, 2))
     rows = []
-    for n in range(1, args.nmax + 1):
+    for n in range(1, nmax + 1):
         plan = _plan_for(args.variant, n, args.alpha)
         est = post * estimate_operator_error(n, args.alpha).value
         rows.append((n, plan.predicted_inversions, error(build_rational(args.alpha, plan)), est))

@@ -10,7 +10,6 @@ verbatim.
 
 import copy
 import math
-import numbers
 import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +18,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dptsv
 
+from .quadrature import is_int_in
 from .scalar_core import RationalForm, _real
 
 __all__ = [
@@ -59,11 +59,6 @@ def _check_dense_dim(dim: int):
         raise ValueError(f"dimension too large for dense assembly: {dim} > {DENSE_DIM_CAP}")
 
 
-def _is_count(x) -> bool:
-    """True for an integer >= 1 that is not a bool."""
-    return not isinstance(x, bool) and isinstance(x, numbers.Integral) and x >= 1
-
-
 def _check_finite(name: str, a: np.ndarray):
     """Refuse NaN and inf in a, naming how many there are and where the first one is."""
     bad = ~np.isfinite(a)
@@ -89,12 +84,12 @@ class OperatorHandle(ABC):
     diagonal = False
 
     def __init__(self, dimension: int, lambda_min: float):
-        if not _is_count(dimension):
+        if not is_int_in(dimension, 1):
             raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
         # NaN fails both comparisons; inf would scale every apply to zero
         if not 0.0 < lambda_min < math.inf:
             raise ValueError(f"lambda_min must be finite and positive, got {lambda_min!r}")
-        self.dimension = int(dimension)
+        self.dimension = dimension
         self.lambda_min = float(lambda_min)
 
     def _check_rhs(self, b) -> np.ndarray:
@@ -306,15 +301,20 @@ def builtin_operator(kind: str, **params) -> OperatorHandle:
     "fd-laplacian-2d": Dirichlet Laplacian on an m x m grid, as the Kronecker
                        sum of the 1-d one with itself.
     """
-    names = {"diag-power": "size", "fd-laplacian-1d": "m", "fd-laplacian-2d": "m"}
+    names = {"diag-power": ("size", "exponent"), "fd-laplacian-1d": ("m",), "fd-laplacian-2d": ("m",)}
     if kind not in names:
         raise ValueError(f"unknown operator kind: {kind}")
-    name = names[kind]
-    if not _is_count(params[name]):
+    wanted = names[kind]
+    for name in (*wanted, *params):
+        if (name in params) != (name in wanted):
+            raise ValueError(f"{kind} {'takes no' if name in params else 'needs the'} parameter {name!r}; "
+                             f"its parameters are {', '.join(wanted)}")
+    name = wanted[0]
+    if not is_int_in(params[name], 1):
         raise ValueError(f"{name} must be an integer >= 1, got {params[name]!r}")
     if kind == "diag-power":
         return DiagonalOperator(np.arange(1.0, params["size"] + 1.0) ** float(params["exponent"]))
-    diag, off, lam_min = _fd1d_stencil(int(params["m"]))
+    diag, off, lam_min = _fd1d_stencil(params["m"])
     t = TridiagonalOperator(diag, off, lambda_min=lam_min)
     return t if kind == "fd-laplacian-1d" else KroneckerSumOperator(t)
 
@@ -344,7 +344,7 @@ def apply_fractional_inverse(
     output is bit-identical to serial output. Any other handle solves the
     whole block as one piece on the calling thread, whatever parallel says.
     """
-    if max_workers is not None and not _is_count(max_workers):
+    if max_workers is not None and not is_int_in(max_workers, 1):
         raise ValueError(f"max_workers must be None or an integer >= 1, got {max_workers!r}")
     b = op._check_rhs(b)
     _check_finite("right-hand side", b)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import is_int_in
 from .scalar_core import RationalForm, _as_lambda, check_alpha, eval_scalar
 
 __all__ = [
@@ -105,23 +106,21 @@ def oracle_integral(
     """
     alpha = check_alpha(alpha)
     lam = _scalar_lambda(lam)
+    if not is_int_in(family, 1, 2):
+        raise ValueError(f"family must be 1 or 2, got {family!r}")
+    if not is_int_in(max_evals, 16):
+        raise ValueError(f"evaluation budget must be an integer >= 16, got max_evals={max_evals!r}")
     if family == 1:
         scale = alpha
 
         def f(x):
             return np.exp(-x) / (1.0 + np.exp(-x / alpha) * lam)
 
-    elif family == 2:
+    else:
         scale = 1.0 - alpha
 
         def f(x):
             return np.exp(-x) / (np.exp(-x / (1.0 - alpha)) + lam)
-
-    else:
-        raise ValueError("family must be 1 or 2")
-    max_evals = int(max_evals)
-    if max_evals < 16:
-        raise ValueError("evaluation budget too small")
 
     # Inner panel wide enough to contain the layer and the crossover at
     # x ~ scale * ln(lambda) where the denominator switches regimes.
@@ -159,9 +158,8 @@ def sinc_baseline_error(eigenvalues, alpha: float, total_solves: int) -> float:
     count.
     """
     alpha = check_alpha(alpha)
-    if not (total_solves >= 3 and total_solves % 2 == 1):  # 5.9, NaN and inf fail too
+    if not (is_int_in(total_solves, 3) and total_solves % 2 == 1):
         raise ValueError(f"total_solves must be an odd integer >= 3, got {total_solves!r}")
-    total_solves = int(total_solves)
     eigenvalues, _ = _as_lambda(eigenvalues)
     if eigenvalues.ndim != 1 or eigenvalues.size == 0:
         raise ValueError("eigenvalues must be a nonempty vector")

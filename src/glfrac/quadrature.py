@@ -20,17 +20,21 @@ from scipy.linalg import eigh_tridiagonal
 # node, 33.6 MB if every order were built.
 N_MAX = 2048
 
+_INTEGER_TYPES = (int, np.integer)  # is_int_in's integer types; it refuses bool, a subclass of int
+
 
 class OrderOutOfRangeError(ValueError):
     """Requested rule order is not an integer in [1, N_MAX]."""
 
 
-def check_order(n: int) -> int:
-    """The one order rule: an int, numpy integer or integral float in [1, N_MAX], returned as int.
+def is_int_in(x, lo: int, hi: float = np.inf) -> bool:
+    """The rule for every order, count and size: an int or numpy integer in [lo, hi], not a bool; floats never pass."""
+    return isinstance(x, _INTEGER_TYPES) and type(x) is not bool and lo <= x <= hi
 
-    Anything else (0, 5.5, NaN, inf) raises OrderOutOfRangeError naming the value; none is truncated.
-    """
-    if not (1 <= n <= N_MAX and n == int(n)):
+
+def check_order(n: int) -> int:
+    """The order rule: is_int_in(n, 1, N_MAX), returned as int; anything else raises OrderOutOfRangeError naming n."""
+    if not is_int_in(n, 1, N_MAX):
         raise OrderOutOfRangeError(f"order out of range: {n!r} is not an integer in [1, {N_MAX}]")
     return int(n)
 
@@ -66,10 +70,10 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
+        if not is_int_in(self.order, 1):
+            raise ValueError(f"order must be an integer >= 1, got {self.order!r}")
         object.__setattr__(self, "nodes", read_only_copy(self.nodes))
         object.__setattr__(self, "weights", read_only_copy(self.weights))
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
         if self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
             raise ValueError("nodes and weights must both have length equal to order")
         if not np.all(self.nodes > 0.0):
@@ -87,9 +91,9 @@ class QuadratureRule:
 def gauss_laguerre(n: int) -> QuadratureRule:
     """The order-n Gauss-Laguerre rule, built once per process.
 
-    Every call with the same order, whether given as int, numpy integer or
-    integral float, returns the same QuadratureRule object, whose arrays are
-    read-only. The cache holds at most N_MAX rules.
+    Every call with the same order, whether given as int or numpy integer,
+    returns the same QuadratureRule object, whose arrays are read-only. The
+    cache holds at most N_MAX rules.
 
     Parameters
     ----------
@@ -116,6 +120,6 @@ def _build_rule(n: int) -> QuadratureRule:
 
 def tail_weight_sum(rule: QuadratureRule, k: int) -> float:
     """Sum of the weights dropped when only the first k nodes are kept, k an integer in [0, order]."""
-    if not (0 <= k <= rule.order and k == int(k)):
+    if not is_int_in(k, 0, rule.order):
         raise ValueError(f"retained count must be an integer in [0, order]: {k!r}")
-    return float(rule.weights[int(k):].sum())
+    return float(rule.weights[k:].sum())

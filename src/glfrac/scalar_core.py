@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import N_MAX, check_order, gauss_laguerre, read_only_copy
+from .quadrature import N_MAX, check_order, gauss_laguerre, is_int_in, read_only_copy
 
 __all__ = [
     "ErrorEstimate",
@@ -311,8 +311,9 @@ class TruncationPlan:
     def __post_init__(self):
         if self.variant not in ("full", "balanced", "equalized"):
             raise ValueError("unknown truncation variant")
-        if not (1 <= self.k1 <= self.n1 and 1 <= self.k2 <= self.n2):
-            raise ValueError("retained counts must lie in [1, order]")
+        if not (is_int_in(self.k1, 1, self.n1) and is_int_in(self.k2, 1, self.n2)):
+            raise ValueError(f"retained counts must be integers in [1, order], got k1={self.k1!r} of "
+                             f"n1={self.n1!r} and k2={self.k2!r} of n2={self.n2!r}")
         if self.variant == "full" and (self.k1 != self.n1 or self.k2 != self.n2):
             raise ValueError("full variant retains every node")
 
@@ -324,13 +325,13 @@ class TruncationPlan:
 def _k1_cutoff(n: int, alpha: float) -> int:
     """Slow-family retained count floor(2 sqrt(3) (alpha n**2 / pi**2)**(1/3)), at least 1."""
     k = math.floor(2.0 * math.sqrt(3.0) * (alpha * n * n / (_PI * _PI)) ** (1.0 / 3.0))
-    return max(1, min(int(k), n))
+    return max(1, min(k, n))
 
 
 def _k2_cutoff(n: int, alpha: float) -> int:
     """Fast-family retained count 2 floor((1-alpha)**(1/4) (2n/pi)**(3/4)), at least 1."""
     k = 2 * math.floor((1.0 - alpha) ** 0.25 * (2.0 * n / _PI) ** 0.75)
-    return max(1, min(int(k), n))
+    return max(1, min(k, n))
 
 
 def plan_full(n: int) -> TruncationPlan:
@@ -379,7 +380,7 @@ def plan_equalized(n: int, alpha: float) -> TruncationPlan:
 
 def estimate_balanced_error(k: int, alpha: float) -> float:
     """Truncated-variant bound 8 sin(alpha pi) exp(-3.6 sqrt(alpha) sqrt(2 k)) for an integer k >= 1."""
-    if not (1 <= k < math.inf and k == int(k)):  # NaN fails the first test
+    if not is_int_in(k, 1):
         raise ValueError(f"retained count must be an integer >= 1: {k!r}")
     alpha = check_alpha(alpha)
     return 8.0 * math.sin(alpha * _PI) * math.exp(-3.6 * math.sqrt(alpha) * math.sqrt(2.0 * k))

@@ -210,6 +210,18 @@ def test_bad_inputs_exit_nonzero(tmp_path, capsys):
     assert "alpha=1e-310, n=2048" in capsys.readouterr().err
 
 
+def test_nmax_is_checked_before_any_work(capsys, monkeypatch):
+    # no operator is built and no row is printed for an order check_order refuses
+    monkeypatch.setattr("glfrac.cli.parse_operator", lambda spec: pytest.fail("operator built"))
+    for nmax in ("0", "-1", str(N_MAX + 1)):
+        for argv in (["scalar-error", "--alpha", "0.5", "--lam", "10", "--nmax", nmax],
+                     ["matrix-error", "--alpha", "0.5", "--nmax", nmax, "--op", "diagpow:10:2"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert f"error: order out of range: {nmax} is not an integer" in captured.err
+            assert captured.out == ""
+
+
 def test_main_reuses_one_parser(capsys):
     argv = ["matrix-error", "--alpha", "0.5", "--nmax", "3", "--op", "diagpow:10:2", "--variant", "balanced"]
     assert main(argv) == 0

@@ -432,6 +432,16 @@ def test_builtin_diag_power():
     assert builtin_operator("fd-laplacian-2d", m=np.int64(3)).dimension == 9
 
 
+def test_builtin_operator_names_a_missing_or_unexpected_parameter():
+    for kind, params, name in (("diag-power", {"size": 5}, "needs the parameter 'exponent'"),
+                               ("diag-power", {"exponent": 2.0}, "needs the parameter 'size'"),
+                               ("diag-power", {"size": 5, "exponent": 2.0, "m": 3}, "takes no parameter 'm'"),
+                               ("fd-laplacian-1d", {"m": 4, "size": 9}, "takes no parameter 'size'"),
+                               ("fd-laplacian-2d", {}, "needs the parameter 'm'")):
+        with pytest.raises(ValueError, match=rf"^{kind} {name}; its parameters are "):
+            builtin_operator(kind, **params)
+
+
 def test_rejects_non_positive_spectra():
     with pytest.raises(NotPositiveDefiniteError, match="operator not positive definite"):
         DiagonalOperator([1.0, 0.0])

@@ -120,10 +120,10 @@ def test_diag_norm_error_permutation_invariant(perm_seed):
 
 def test_sinc_validation():
     eigs = np.array([1.0, 2.0])
-    for bad in (0, 1, 2, 10, 5.9, math.nan, math.inf):
+    for bad in (0, 1, 2, 10, 5.9, math.nan, math.inf, 5.0):
         with pytest.raises(ValueError, match=rf"odd integer >= 3, got {bad!r}$"):
             sinc_baseline_error(eigs, 0.5, bad)
-    assert sinc_baseline_error(eigs, 0.5, 5.0) == sinc_baseline_error(eigs, 0.5, 5)
+    assert sinc_baseline_error(eigs, 0.5, np.int64(5)) == sinc_baseline_error(eigs, 0.5, 5)
     for bad in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="lambda out of range"):
             sinc_baseline_error(np.array([bad]), 0.5, 11)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from glfrac import (
     QuadratureRule,
     RationalForm,
     ToleranceUnreachableError,
+    TruncationPlan,
     build_rational,
     check_alpha,
     estimate_balanced_error,
@@ -243,10 +245,14 @@ def test_every_order_goes_through_one_rule(f, n):
 
 
 def test_integral_orders_of_any_type_agree():
-    for n in (np.int64(30), 30.0):
-        assert plan_full(n) == plan_full(30)
-        assert estimate_operator_error(n, 0.5) == estimate_operator_error(30, 0.5)
-        assert g1(n, 0.5, 10.0) == g1(30, 0.5, 10.0)
+    n = np.int64(30)
+    assert plan_full(n) == plan_full(30)
+    assert estimate_operator_error(n, 0.5) == estimate_operator_error(30, 0.5)
+    assert g1(n, 0.5, 10.0) == g1(30, 0.5, 10.0)
+    # an integral float is not an integer: it is refused, not converted
+    for call in (plan_full, lambda n: estimate_operator_error(n, 0.5), lambda n: g1(n, 0.5, 10.0)):
+        with pytest.raises(OrderOutOfRangeError, match=r"order out of range: 30\.0 is not an integer"):
+            call(30.0)
 
 
 def test_estimate_branch_switch_blip_frozen():
@@ -428,6 +434,19 @@ def test_rational_form_validation():
     for bad in (terms[0], terms[:2], terms.T):
         with pytest.raises(ValueError, match="shape"):
             RationalForm(0.5, "full", 3, 3, 3, 3, bad)
+
+
+def test_plan_retained_counts_are_integers():
+    # a float count used to pass the plan and fail later, slicing in build_rational
+    for k1, k2 in ((1.5, 2), (2, 2.0), (np.float64(2.0), 2), (True, 2)):
+        message = f"retained counts must be integers in [1, order], got k1={k1!r} of n1=5 and k2={k2!r} of n2=5"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TruncationPlan("balanced", 5, 5, k1, k2)
+    terms = build_rational(0.5, plan_balanced(5, 0.5)).term_arrays
+    k = plan_balanced(5, 0.5).k1
+    with pytest.raises(ValueError, match="retained counts must be integers"):
+        RationalForm(0.5, "balanced", 5, 5, float(k), k, terms)
+    assert TruncationPlan("balanced", 5, 5, np.int64(k), k) == plan_balanced(5, 0.5)
     shifted = terms.copy()
     shifted[2, :3] += 1.0  # family-1 shifts >= 1
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
@@ -606,8 +625,7 @@ def test_balanced_estimate_formula():
 
 
 def test_balanced_estimate_validates_k():
-    for bad in (2.5, math.nan, 0, -1, math.inf, -math.inf):
+    for bad in (2.5, math.nan, 0, -1, math.inf, -math.inf, 19.0):
         with pytest.raises(ValueError, match=f"retained count must be an integer >= 1: {bad!r}$"):
             estimate_balanced_error(bad, 0.5)
-    assert estimate_balanced_error(19.0, 0.5) == estimate_balanced_error(np.int64(19), 0.5) == \
-        estimate_balanced_error(19, 0.5)
+    assert estimate_balanced_error(np.int64(19), 0.5) == estimate_balanced_error(19, 0.5)
