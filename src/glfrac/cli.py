@@ -76,19 +76,19 @@ def _read_column(path: str, what: str) -> np.ndarray:
 def parse_operator(spec: str):
     """Build an OperatorHandle from a mini-language string."""
     kind, _, rest = spec.partition(":")
-    if kind == "diagpow":
-        size, _, exponent = rest.partition(":")
-        if not size or not exponent:
-            raise ValueError(f"bad operator spec: {spec}")
-        return builtin_operator("diag-power", size=int(size), exponent=float(exponent))
+    stock = {"diagpow": ("diag-power", ("size", int), ("exponent", float)),
+             "fd1d": ("fd-laplacian-1d", ("m", int)), "fd2d": ("fd-laplacian-2d", ("m", int))}
+    if kind in stock:
+        name, *params = stock[kind]
+        try:
+            values = {param: parse(field) for (param, parse), field in zip(params, rest.split(":"), strict=True)}
+        except ValueError:
+            raise ValueError(f"bad operator spec: {spec}") from None
+        return builtin_operator(name, **values)
     if kind == "diag":
         if not rest:
             raise ValueError(f"bad operator spec: {spec}")
         return DiagonalOperator(_read_column(rest, "eigenvalues"))
-    if kind == "fd1d":
-        return builtin_operator("fd-laplacian-1d", m=int(rest))
-    if kind == "fd2d":
-        return builtin_operator("fd-laplacian-2d", m=int(rest))
     if kind == "dense":
         if not rest:
             raise ValueError(f"bad operator spec: {spec}")

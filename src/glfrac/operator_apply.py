@@ -18,8 +18,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dptsv
 
-from .quadrature import is_int_in
-from .scalar_core import RationalForm, _real
+from .quadrature import _real, is_int_in, is_real
+from .scalar_core import RationalForm
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -86,8 +86,7 @@ class OperatorHandle(ABC):
     def __init__(self, dimension: int, lambda_min: float):
         if not is_int_in(dimension, 1):
             raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
-        # NaN fails both comparisons; inf would scale every apply to zero
-        if not 0.0 < lambda_min < math.inf:
+        if not (is_real(lambda_min) and lambda_min > 0.0):
             raise ValueError(f"lambda_min must be finite and positive, got {lambda_min!r}")
         self.dimension = dimension
         self.lambda_min = float(lambda_min)
@@ -108,8 +107,7 @@ class OperatorHandle(ABC):
 
     def shifted_solve(self, sigma: float, tau: float, b) -> np.ndarray:
         """Solve (sigma I + tau L) X = B for finite sigma, tau >= 0, not both zero; X has the shape of B."""
-        # NaN fails every comparison, so it is refused too
-        if not (0.0 <= sigma < math.inf and 0.0 <= tau < math.inf and sigma + tau > 0.0):
+        if not (is_real(sigma) and is_real(tau) and sigma >= 0.0 and tau >= 0.0 and sigma + tau > 0.0):
             raise ValueError(f"shift coefficients must be finite, nonnegative and not both zero: "
                              f"sigma={sigma!r}, tau={tau!r}")
         b = self._check_rhs(b)
@@ -148,8 +146,8 @@ class TridiagonalOperator(OperatorHandle):
     """Symmetric tridiagonal operator; solves call LAPACK ptsv (an L D L^T factorization).
 
     The smallest eigenvalue is computed once at construction. A lambda_min
-    known in closed form may be passed instead and is kept, provided it
-    exceeds the computed one by at most 4 eps ||T||_1.
+    known in closed form may be passed instead: the handle's rule checks it
+    first, and it is kept if it exceeds the computed one by at most 4 eps ||T||_1.
     """
 
     def __init__(self, diag, off, lambda_min: float | None = None):
@@ -160,18 +158,15 @@ class TridiagonalOperator(OperatorHandle):
         _check_finite("main diagonal", diag)
         _check_finite("off-diagonal", off)
         smallest = float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
-        if lambda_min is None:
-            lambda_min = smallest
-        else:
-            abs_off = np.abs(off)
-            norm1 = float(np.max(np.abs(diag) + np.r_[abs_off, 0.0] + np.r_[0.0, abs_off]))
-            if lambda_min > smallest + 4.0 * np.finfo(float).eps * norm1:
-                raise NotPositiveDefiniteError(
-                    f"operator not positive definite above lambda_min={lambda_min!r}: "
-                    f"its smallest eigenvalue is {float(f'{smallest:.15g}')!r}")
-        if not lambda_min > 0.0:
+        if lambda_min is None and not smallest > 0.0:
             raise NotPositiveDefiniteError("operator not positive definite")
-        super().__init__(diag.size, lambda_min)
+        super().__init__(diag.size, smallest if lambda_min is None else lambda_min)
+        abs_off = np.abs(off)
+        norm1 = float(np.max(np.abs(diag) + np.r_[abs_off, 0.0] + np.r_[0.0, abs_off]))
+        if self.lambda_min > smallest + 4.0 * np.finfo(float).eps * norm1:
+            raise NotPositiveDefiniteError(
+                f"operator not positive definite above lambda_min={lambda_min!r}: "
+                f"its smallest eigenvalue is {float(f'{smallest:.15g}')!r}")
         self.diag = diag
         self.off = off
 
@@ -313,6 +308,8 @@ def builtin_operator(kind: str, **params) -> OperatorHandle:
     if not is_int_in(params[name], 1):
         raise ValueError(f"{name} must be an integer >= 1, got {params[name]!r}")
     if kind == "diag-power":
+        if not is_real(params["exponent"]):
+            raise ValueError(f"exponent must be a finite real number, got {params['exponent']!r}")
         return DiagonalOperator(np.arange(1.0, params["size"] + 1.0) ** float(params["exponent"]))
     diag, off, lam_min = _fd1d_stencil(params["m"])
     t = TridiagonalOperator(diag, off, lambda_min=lam_min)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import is_int_in
+from .quadrature import is_int_in, is_real
 from .scalar_core import RationalForm, _as_lambda, check_alpha, eval_scalar
 
 __all__ = [
@@ -48,6 +48,14 @@ def _scalar_lambda(lam) -> float:
     if not scalar:
         raise ValueError(f"lambda must be a scalar, got shape {arr.shape}")
     return float(arr)
+
+
+def _spectrum(eigenvalues) -> np.ndarray:
+    """eigenvalues after _as_lambda's checks; anything but a nonempty vector is refused."""
+    arr, _ = _as_lambda(eigenvalues)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("eigenvalues must be a nonempty vector")
+    return arr
 
 
 def oracle_scalar_power(lam: float, alpha: float) -> float:
@@ -110,6 +118,8 @@ def oracle_integral(
         raise ValueError(f"family must be 1 or 2, got {family!r}")
     if not is_int_in(max_evals, 16):
         raise ValueError(f"evaluation budget must be an integer >= 16, got max_evals={max_evals!r}")
+    if not (is_real(abs_tol) and abs_tol > 0.0):
+        raise ValueError(f"abs_tol must be positive and finite, got {abs_tol!r}")
     if family == 1:
         scale = alpha
 
@@ -140,9 +150,7 @@ def oracle_diag_norm_error(eigenvalues, form: RationalForm) -> float:
     the worst scalar error over the spectrum, so diagonal spectra give
     the exact operator-norm error with no linear algebra.
     """
-    eigenvalues, _ = _as_lambda(eigenvalues)
-    if eigenvalues.ndim != 1 or eigenvalues.size == 0:
-        raise ValueError("eigenvalues must be a nonempty vector")
+    eigenvalues = _spectrum(eigenvalues)
     approx = eval_scalar(form, eigenvalues)
     exact = np.exp(-form.alpha * np.log(eigenvalues))
     return float(np.max(np.abs(exact - approx)))
@@ -160,9 +168,7 @@ def sinc_baseline_error(eigenvalues, alpha: float, total_solves: int) -> float:
     alpha = check_alpha(alpha)
     if not (is_int_in(total_solves, 3) and total_solves % 2 == 1):
         raise ValueError(f"total_solves must be an odd integer >= 3, got {total_solves!r}")
-    eigenvalues, _ = _as_lambda(eigenvalues)
-    if eigenvalues.ndim != 1 or eigenvalues.size == 0:
-        raise ValueError("eigenvalues must be a nonempty vector")
+    eigenvalues = _spectrum(eigenvalues)
     half = (total_solves - 1) // 2
     h = math.pi / math.sqrt(alpha * half)
     j = np.arange(-half, half + 1, dtype=float)[:, None]

@@ -7,6 +7,7 @@ route stays accurate at orders where the classical polynomial-root chasers
 break down in double precision.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -21,6 +22,9 @@ from scipy.linalg import eigh_tridiagonal
 N_MAX = 2048
 
 _INTEGER_TYPES = (int, np.integer)  # is_int_in's integer types; it refuses bool, a subclass of int
+_REAL_TYPES = (int, float, np.integer, np.floating)  # is_real's types; it refuses bool too
+_FLOAT_MAX = float(np.finfo(float).max)
+_NOT_REAL_KINDS = {"b": "bool", "c": "complex", "S": "bytes", "U": "str", "O": "object"}  # named in _real's refusal
 
 
 class OrderOutOfRangeError(ValueError):
@@ -32,6 +36,21 @@ def is_int_in(x, lo: int, hi: float = np.inf) -> bool:
     return isinstance(x, _INTEGER_TYPES) and type(x) is not bool and lo <= x <= hi
 
 
+def is_real(x) -> bool:
+    """The rule for every real scalar: an int, float or numpy integer or floating, not a bool, that a float holds."""
+    # math.isfinite raises on an int past float range; a float bound would warn when NumPy casts it to float32
+    return (isinstance(x, _REAL_TYPES) and type(x) is not bool
+            and (-_FLOAT_MAX <= x <= _FLOAT_MAX if isinstance(x, int) else math.isfinite(x)))
+
+
+def _real(name: str, a) -> np.ndarray:
+    """The rule for every real array: a as a float array; other dtypes than integer and floating are refused."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real, got {_NOT_REAL_KINDS.get(a.dtype.kind, 'non-real')} dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def check_order(n: int) -> int:
     """The order rule: is_int_in(n, 1, N_MAX), returned as int; anything else raises OrderOutOfRangeError naming n."""
     if not is_int_in(n, 1, N_MAX):
@@ -39,9 +58,9 @@ def check_order(n: int) -> int:
     return int(n)
 
 
-def read_only_copy(a) -> np.ndarray:
-    """A read-only float copy of a, returned as a view: numpy cannot make that writable again."""
-    a = np.array(a, dtype=float)
+def read_only_copy(name: str, a) -> np.ndarray:
+    """A read-only float copy of a after _real's check, returned as a view: numpy cannot make that writable again."""
+    a = np.array(_real(name, a))
     a.setflags(write=False)
     return a.view()
 
@@ -72,8 +91,8 @@ class QuadratureRule:
     def __post_init__(self):
         if not is_int_in(self.order, 1):
             raise ValueError(f"order must be an integer >= 1, got {self.order!r}")
-        object.__setattr__(self, "nodes", read_only_copy(self.nodes))
-        object.__setattr__(self, "weights", read_only_copy(self.weights))
+        object.__setattr__(self, "nodes", read_only_copy("nodes", self.nodes))
+        object.__setattr__(self, "weights", read_only_copy("weights", self.weights))
         if self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
             raise ValueError("nodes and weights must both have length equal to order")
         if not np.all(self.nodes > 0.0):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import N_MAX, check_order, gauss_laguerre, is_int_in, read_only_copy
+from .quadrature import (N_MAX, OrderOutOfRangeError, _real, check_order, gauss_laguerre, is_int_in, is_real,
+                         read_only_copy)
 
 __all__ = [
     "ErrorEstimate",
@@ -50,19 +51,10 @@ class ToleranceUnreachableError(RuntimeError):
 
 
 def check_alpha(alpha: float) -> float:
-    """Validate a fractional exponent, returning it as float."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha out of range (0, 1)")
-    return alpha
-
-
-def _real(name: str, a) -> np.ndarray:
-    """a as a float array; complex input is refused, since the cast would drop its imaginary part."""
-    a = np.asarray(a)
-    if a.dtype.kind == "c":
-        raise ValueError(f"{name} must be real, got complex dtype {a.dtype}")
-    return a.astype(float, copy=False)
+    """Validate a fractional exponent, a real in (0, 1), returning it as float."""
+    if not (is_real(alpha) and 0.0 < alpha < 1.0):
+        raise ValueError(f"alpha out of range (0, 1): {alpha!r}")
+    return float(alpha)
 
 
 def _as_lambda(lam):
@@ -263,7 +255,7 @@ def estimate_operator_error(n: int, alpha: float) -> ErrorEstimate:
         s = float(_g1_at_u(n, alpha, _ln_lambda_n(n, alpha)))
         branch = "g1_at_lambda_n"
     else:
-        s = g2(n, alpha, 1.0)
+        s = float(_g2_at(n, alpha, 1.0, 0.0))
         branch = "g2_at_one"
     return ErrorEstimate(n, alpha, 4.0 * math.sin(alpha * _PI) * s, branch)
 
@@ -276,9 +268,9 @@ def select_n(alpha: float, tol: float) -> tuple[int, ErrorEstimate]:
     estimate(n) <= tol; every smaller order has an estimate above tol.
     """
     alpha = check_alpha(alpha)
+    if not (is_real(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     tol = float(tol)
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
 
     def neg_value(n):
         return -estimate_operator_error(n, alpha).value
@@ -298,8 +290,8 @@ class TruncationPlan:
     """Orders and retained node counts for the two families.
 
     variant is "full", "balanced", or "equalized". Family i uses the
-    order-n_i rule truncated to its first k_i nodes; one shifted solve
-    per retained node gives predicted_inversions = k1 + k2.
+    order-n_i rule, n_i in [1, N_MAX], truncated to its first k_i nodes;
+    one shifted solve per retained node gives predicted_inversions = k1 + k2.
     """
 
     variant: str
@@ -311,6 +303,8 @@ class TruncationPlan:
     def __post_init__(self):
         if self.variant not in ("full", "balanced", "equalized"):
             raise ValueError("unknown truncation variant")
+        if not (is_int_in(self.n1, 1, N_MAX) and is_int_in(self.n2, 1, N_MAX)):
+            raise OrderOutOfRangeError(f"orders must be integers in [1, {N_MAX}], got n1={self.n1!r}, n2={self.n2!r}")
         if not (is_int_in(self.k1, 1, self.n1) and is_int_in(self.k2, 1, self.n2)):
             raise ValueError(f"retained counts must be integers in [1, order], got k1={self.k1!r} of "
                              f"n1={self.n1!r} and k2={self.k2!r} of n2={self.n2!r}")
@@ -410,7 +404,7 @@ class RationalForm:
     def __post_init__(self):
         check_alpha(self.alpha)
         TruncationPlan(self.variant, self.n1, self.n2, self.k1, self.k2)  # raises unless a valid plan
-        arrays = read_only_copy(self.term_arrays)
+        arrays = read_only_copy("term_arrays", self.term_arrays)
         object.__setattr__(self, "term_arrays", arrays)
         k1 = self.k1
         if arrays.shape != (3, k1 + self.k2):

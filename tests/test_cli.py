@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,29 @@ def test_fd_operator_specs():
         parse_operator("who-knows:3")
     with pytest.raises(ValueError):
         parse_operator("diagpow:12")  # missing exponent
+
+
+def test_malformed_stock_specs_are_named(capsys):
+    # these raised int()'s and float()'s own messages, such as "invalid literal for int() with base 10: '5:7'"
+    for spec in ("fd1d:abc", "fd1d:", "fd1d:5:7", "fd1d:2.5", "fd2d", "diagpow:1e3:2", "diagpow:10:2:3",
+                 "diagpow:10:"):
+        with pytest.raises(ValueError, match=f"^bad operator spec: {re.escape(spec)}$"):
+            parse_operator(spec)
+        assert main(["apply", "--op", spec, "--alpha", "0.5", "--n", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad operator spec: {spec}\n" and captured.out == ""
+    # a well-formed spec with a value the operator refuses names that value
+    for spec, message in (("diagpow:10:nan", "exponent must be a finite real number, got nan"),
+                          ("fd1d:0", "m must be an integer >= 1, got 0")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_operator(spec)
+
+
+def test_select_n_refuses_an_infinite_tolerance(capsys):
+    # an infinite tolerance used to print n = 1 and exit 0
+    assert main(["select-n", "--alpha", "0.5", "--tol", "inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: tolerance must be positive and finite, got inf\n" and captured.out == ""
 
 
 def test_bad_inputs_exit_nonzero(tmp_path, capsys):

@@ -63,6 +63,8 @@ SITES = {
     "builtin_operator.m.1d": (lambda v: builtin_operator("fd-laplacian-1d", m=v), 1, math.inf, ValueError),
     "builtin_operator.m.2d": (lambda v: builtin_operator("fd-laplacian-2d", m=v), 1, math.inf, ValueError),
     "apply_fractional_inverse.max_workers": (_max_workers, 1, math.inf, ValueError),
+    "TruncationPlan.n1": (lambda v: TruncationPlan("balanced", v, 3, 1, 3), 1, N_MAX, OrderOutOfRangeError),
+    "TruncationPlan.n2": (lambda v: TruncationPlan("balanced", 3, v, 3, 1), 1, N_MAX, OrderOutOfRangeError),
     "TruncationPlan.k1": (lambda v: TruncationPlan("balanced", 3, 3, v, 3), 1, 3, ValueError),
     "TruncationPlan.k2": (lambda v: TruncationPlan("balanced", 3, 3, 3, v), 1, 3, ValueError),
 }

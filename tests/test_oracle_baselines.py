@@ -160,3 +160,13 @@ def test_balanced_beats_sinc_at_matched_budgets(capsys):
             f" vs sinc({budget} solves) {sinc_err:.3e}"
         )
         assert bal_err < sinc_err
+
+
+def test_oracle_spectra_are_nonempty_vectors():
+    # both oracles that take a spectrum refuse anything else with one message
+    form = build_rational(0.5, plan_full(4))
+    for f in (lambda eigs: oracle_diag_norm_error(eigs, form), lambda eigs: sinc_baseline_error(eigs, 0.5, 11)):
+        for bad in (np.empty(0), [], 2.0, np.array(2.0), np.ones((2, 2))):
+            with pytest.raises(ValueError, match="^eigenvalues must be a nonempty vector$"):
+                f(bad)
+        assert f([1.0, 2.0]) == f(np.array([1.0, 2.0]))

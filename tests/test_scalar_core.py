@@ -212,6 +212,28 @@ def test_estimate_branch_selection():
     assert est.value == pytest.approx(4.0 * math.sin(0.5 * math.pi) * g1(20, 0.5, lambda_n_exact(20, 0.5)), rel=1e-14)
 
 
+def test_fast_branch_estimate_is_g2_at_one_bit_for_bit():
+    # the branch evaluates g2 at lambda = 1 without checking n, alpha and lambda again
+    for alpha in np.linspace(0.5, 0.99, 50)[1:]:
+        for n in range(1, min(math.floor(n_star(alpha)), N_MAX) + 1):
+            est = estimate_operator_error(n, alpha)
+            assert est.branch == "g2_at_one"
+            assert est.value == 4.0 * math.sin(alpha * math.pi) * g2(n, alpha, 1.0), (alpha, n)
+
+
+def test_plan_orders_are_checked():
+    # orders past N_MAX or not integers used to pass the plan and the form, and fail only in build_rational
+    for n1, n2 in ((5000, 5000), (5.5, 5.5), (N_MAX + 1, 3), (3, 0), (3.0, 3)):
+        message = f"orders must be integers in [1, {N_MAX}], got n1={n1!r}, n2={n2!r}"
+        with pytest.raises(OrderOutOfRangeError, match=f"^{re.escape(message)}$"):
+            TruncationPlan("balanced", n1, n2, 3, 3)
+    terms = build_rational(0.5, plan_balanced(5, 0.5)).term_arrays
+    k = plan_balanced(5, 0.5).k1
+    with pytest.raises(OrderOutOfRangeError, match="n1=5000, n2=5000"):
+        RationalForm(0.5, "balanced", 5000, 5000, k, k, terms)
+    assert TruncationPlan("balanced", np.int64(N_MAX), N_MAX, 3, 3).n1 == N_MAX
+
+
 def test_estimate_refuses_orders_no_plan_can_build():
     assert estimate_operator_error(N_MAX, 0.5).n == N_MAX
     for n in (0, N_MAX + 1, 5000):
