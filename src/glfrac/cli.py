@@ -73,6 +73,14 @@ def _read_column(path: str, what: str) -> np.ndarray:
     return column[:, 0]
 
 
+def _int_token(token: str, source: str) -> int:
+    """token read as an integer, as argparse reads an int option: "5.0" and "x" are refused by name."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{source}: {token!r} is not an integer") from None
+
+
 def parse_operator(spec: str):
     """Build an OperatorHandle from a mini-language string."""
     kind, _, rest = spec.partition(":")
@@ -96,8 +104,7 @@ def parse_operator(spec: str):
             first = fh.readline().split()
             if len(first) != 2:
                 raise ValueError("dense file must start with 'dim lambda_min'")
-            dim = int(first[0])
-            lambda_min = float(first[1])
+            dim, lambda_min = _int_token(first[0], f"dense file {rest} header"), float(first[1])
             matrix = np.loadtxt(fh, dtype=float, ndmin=2)
         if matrix.shape != (dim, dim):
             raise ValueError("dense file body does not match its declared dimension")
@@ -200,7 +207,7 @@ def _largest_n_with_budget(variant: str, alpha: float, budget: int) -> int | Non
 
 def _cmd_compare(args):
     op = parse_operator(args.spectrum)
-    budgets = sorted({int(tok) for tok in args.solves.split(",") if tok.strip()})
+    budgets = sorted({_int_token(tok, f"--solves {args.solves}") for tok in args.solves.split(",") if tok.strip()})
     if not budgets:
         raise ValueError("no solve budgets given")
     post = op.lambda_min ** (-args.alpha)

@@ -40,9 +40,9 @@ __all__ = [
 # the diagonal, tridiagonal and Kronecker-sum handles are not capped.
 DENSE_DIM_CAP = 2000
 
-# Most rows in one piece of a diagonal apply (see apply_fractional_inverse),
-# chosen by paired timings of 2**13, 2**14 and 2**15: a piece's few
-# temporaries then fit in a 2 MB L2 cache.
+# The one cache budget of an apply: the most rows in a diagonal apply's piece and the
+# most right-hand-side entries in a batch of shifted solves. Chosen by paired timings
+# of 2**13, 2**14 and 2**15: a piece's few temporaries then fit in a 2 MB L2 cache.
 _BLOCK_ROWS = 2**15
 
 
@@ -57,6 +57,11 @@ class DimensionMismatchError(ValueError):
 def _check_dense_dim(dim: int):
     if dim > DENSE_DIM_CAP:
         raise ValueError(f"dimension too large for dense assembly: {dim} > {DENSE_DIM_CAP}")
+
+
+def _batch_terms(b: np.ndarray) -> int:
+    """Terms per batch against b: _BLOCK_ROWS // b.size, or 1 below 3 (two fd1d:128 identities in one ptsv: +9%)."""
+    return k if (k := _BLOCK_ROWS // max(b.size, 1)) > 2 else 1
 
 
 def _check_finite(name: str, a: np.ndarray):
@@ -76,9 +81,11 @@ class OperatorHandle(ABC):
     independently: a solve of some of the columns gives the same bits as
     those columns of a whole-block solve. The public shifted_solve checks
     the shifts and B, and solves a vector (dim,) as a block of one column.
-    The class attribute diagonal is True when a form acts entrywise on
-    spectrum(), as on diag(eigenvalues); then rows are independent too, and
-    an apply splits B into the row views that _rows returns.
+    An apply takes all its solutions from one call of _shifted_solves, which
+    calls shifted_solve term by term unless a handle that shares work between
+    terms overrides it. The class attribute diagonal is True when a form acts
+    entrywise on spectrum(), as on diag(eigenvalues); then rows are
+    independent too, and an apply splits B into the row views _rows returns.
     """
 
     diagonal = False
@@ -113,6 +120,11 @@ class OperatorHandle(ABC):
         b = self._check_rhs(b)
         return self._shifted_solve(float(sigma), float(tau), b.reshape(self.dimension, -1)).reshape(b.shape)
 
+    def _shifted_solves(self, sigma: np.ndarray, tau: np.ndarray, b: np.ndarray):
+        """Yield X of (sigma[j] I + tau[j] L) X = B for each j of the checked shifts; a failing j raises when due."""
+        for s, t in zip(sigma.tolist(), tau.tolist()):
+            yield self.shifted_solve(s, t, b)
+
 
 class DiagonalOperator(OperatorHandle):
     """diag(eigenvalues); solves are row-wise divisions."""
@@ -145,9 +157,11 @@ class DiagonalOperator(OperatorHandle):
 class TridiagonalOperator(OperatorHandle):
     """Symmetric tridiagonal operator; solves call LAPACK ptsv (an L D L^T factorization).
 
-    The smallest eigenvalue is computed once at construction. A lambda_min
-    known in closed form may be passed instead: the handle's rule checks it
-    first, and it is kept if it exceeds the computed one by at most 4 eps ||T||_1.
+    A batch of k terms is one ptsv call on their k systems as one block-diagonal
+    system: O(k m r) as k calls would be, for one call's Python overhead. The
+    smallest eigenvalue is computed once at construction. A lambda_min known in
+    closed form may be passed instead: the handle's rule checks it first, and it
+    is kept if it exceeds the computed one by at most 4 eps ||T||_1.
     """
 
     def __init__(self, diag, off, lambda_min: float | None = None):
@@ -174,26 +188,35 @@ class TridiagonalOperator(OperatorHandle):
         return eigvalsh_tridiagonal(self.diag, self.off)
 
     def _shifted_solve(self, sigma, tau, b):
-        d = tau * self.diag
-        d += sigma
-        if self.dimension == 1:
-            # ptsv refuses an empty off-diagonal; a 1 x 1 system is one quotient
-            x, info = b / d[:, None], 0 if d[0] > 0.0 else 1
-        else:
-            # b is left as it is: an apply solves the same right-hand side for every term
-            _, _, x, info = dptsv(d, tau * self.off, b, overwrite_d=True, overwrite_e=True)
-        if info > 0:
-            raise NotPositiveDefiniteError(f"operator not positive definite: sigma={sigma!r}, tau={tau!r}: "
-                                           f"{info}th leading minor not positive definite")
-        return x
+        return next(self._shifted_solves(np.array([sigma]), np.array([tau]), b))
+
+    def _shifted_solves(self, sigma, tau, b):
+        m, r = b.shape
+        step = _batch_terms(b) if m > 1 else 1
+        for start in range(0, sigma.size, step):
+            s, t = sigma[start:start + step, None], tau[start:start + step, None]
+            k = len(s)
+            d = t * self.diag
+            d += s
+            if m == 1:
+                # ptsv refuses an empty off-diagonal; a 1 x 1 system is one quotient
+                x, info = b / d, 0 if d[0, 0] > 0.0 else 1
+            else:
+                # exact zeros between the blocks keep ptsv's recurrence in each as in a call of its own
+                e = np.zeros((k, m))
+                np.multiply(t, self.off, out=e[:, :-1])
+                _, _, x, info = dptsv(d.ravel(), e.ravel()[:-1], np.tile(b.T, k).T if k > 1 else b,
+                                      overwrite_d=True, overwrite_e=True, overwrite_b=k > 1)  # b is left as it is
+            if info > 0:
+                j, minor = divmod(info - 1, m)
+                yield from self._shifted_solves(sigma[start:start + j], tau[start:start + j], b)
+                raise NotPositiveDefiniteError(f"operator not positive definite: sigma={float(s[j, 0])!r}, tau="
+                                               f"{float(t[j, 0])!r}: {minor + 1}th leading minor not positive definite")
+            yield from x.reshape(k, m, r)
 
     def to_dense(self) -> np.ndarray:
         _check_dense_dim(self.dimension)
-        a = np.diag(self.diag)
-        idx = np.arange(self.dimension - 1)
-        a[idx, idx + 1] = self.off
-        a[idx + 1, idx] = self.off
-        return a
+        return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
 
 
 class DenseOperator(OperatorHandle):
@@ -248,8 +271,10 @@ class KroneckerSumOperator(OperatorHandle):
     Solves use fast diagonalization (Lynch, Rice & Thomas, 1964): with
     T = Q diag(mu) Q^T, a column x read as the m x m matrix X (row-major)
     solves as Q [(Q^T X Q) / (sigma + tau (mu_a + mu_b))] Q^T, O(m**3) per
-    column against O(m**6) for a dense factorization. lambda_min is twice
-    T's, so T's lower-bound check carries over.
+    column against O(m**6) for a dense factorization. Q^T X Q is formed once for
+    all terms, and each batch of terms goes back in one stacked product: two
+    m x m products per column and term, not four. lambda_min is twice T's, so
+    T's lower-bound check carries over.
     """
 
     def __init__(self, t: TridiagonalOperator):
@@ -263,12 +288,18 @@ class KroneckerSumOperator(OperatorHandle):
         return np.sort(self._grid, axis=None)
 
     def _shifted_solve(self, sigma, tau, b):
-        m = self.t.dimension
-        q = self._q
-        # (dim, r) -> (r, m, m), one m x m matrix per column
-        x = np.ascontiguousarray(b.reshape(m, m, -1).transpose(2, 0, 1))
-        c = (q.T @ x @ q) / (sigma + tau * self._grid)
-        return (q @ c @ q.T).reshape(-1, m * m).T
+        return next(self._shifted_solves(np.array([sigma]), np.array([tau]), b))
+
+    def _shifted_solves(self, sigma, tau, b):
+        m, r, q = self.t.dimension, b.shape[1], self._q
+        # (dim, r) -> (r, m, m), one m x m matrix per column, transformed once for every term
+        x = np.ascontiguousarray(b.reshape(m, m, r).transpose(2, 0, 1))
+        xh = q.T @ x @ q
+        step = _batch_terms(b)
+        for start in range(0, sigma.size, step):
+            s, t = sigma[start:start + step, None, None, None], tau[start:start + step, None, None, None]
+            c = xh / (s + t * self._grid)
+            yield from (q @ c @ q.T).reshape(len(s), r, m * m).transpose(0, 2, 1)
 
     def to_dense(self) -> np.ndarray:
         _check_dense_dim(self.dimension)
@@ -327,13 +358,13 @@ def apply_fractional_inverse(
 
     B is a vector (dim,), applied as a block of one column, or a block
     (dim, r). A node's solve against L / lambda_min is the solve
-    (sigma I + (tau / lambda_min) L) X = B, and the solutions are added up
-    in the order of form.terms().
+    (sigma I + (tau / lambda_min) L) X = B. Each piece of B takes all k1 + k2
+    solutions from one call of its handle's _shifted_solves, in batches where
+    the handle shares work, and adds them up in the order of form.terms().
 
     A diagonal handle's rows are independent, so its B goes into
     max(min(workers, rows), ceil(rows / _BLOCK_ROWS)) near-equal row ranges,
-    each running that same loop with all k1 + k2 solves; each term's
-    temporaries over a range then stay in cache. A serial apply has one
+    each a piece; each term's temporaries over a range then stay in cache. A serial apply has one
     worker, a parallel one has max_workers (default os.cpu_count()); with
     more than one worker the ranges run on a pool of min(workers, ranges)
     threads, otherwise in turn on the calling thread. Every entry goes
@@ -347,14 +378,16 @@ def apply_fractional_inverse(
     _check_finite("right-hand side", b)
     block = b.reshape(op.dimension, -1)
     scale = op.lambda_min ** (-form.alpha)
-    terms = [(fam, j, c, sigma, tau / op.lambda_min) for fam, j, c, sigma, tau in form.terms()]
+    sigma, tau = form.term_arrays[1], form.term_arrays[2] / op.lambda_min
+    terms = [(fam, j, c) for fam, j, c, _, _ in form.terms()]
     out = np.zeros(block.shape)
 
     def accumulate(handle, index):
         rhs, acc = block[index], out[index]
-        for fam, j, c, sigma, tau in terms:
+        solutions = handle._shifted_solves(sigma, tau, rhs)
+        for fam, j, c in terms:
             try:
-                sol = handle.shifted_solve(sigma, tau, rhs)
+                sol = next(solutions)
             except Exception as exc:
                 raise RuntimeError(f"shifted solve failed (family {fam}, node {j}): {exc}") from exc
             acc += c * sol

@@ -161,6 +161,22 @@ def test_dense_file_with_non_finite_entries_exits_1(tmp_path, capsys):
         assert "matrix entries must be finite: 2 of 4" in captured.err and captured.out == ""
 
 
+def test_malformed_integers_are_named(tmp_path, capsys):
+    # these raised int()'s own message, "invalid literal for int() with base 10: '2.5'", naming no input
+    path = tmp_path / "mat.txt"
+    path.write_text("2.5 1.0\n2.0 1.0\n1.0 2.0\n")
+    for argv, message in (
+            (["apply", "--op", f"dense:{path}", "--alpha", "0.5", "--n", "4"],
+             f"dense file {path} header: '2.5' is not an integer"),
+            (["compare", "--alpha", "0.5", "--spectrum", "diagpow:10:2", "--solves", "5,x"],
+             "--solves 5,x: 'x' is not an integer"),
+            (["compare", "--alpha", "0.5", "--spectrum", "diagpow:10:2", "--solves", "5.0"],
+             "--solves 5.0: '5.0' is not an integer")):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_fd_operator_specs():
     op = parse_operator("fd1d:7")
     assert isinstance(op, TridiagonalOperator)

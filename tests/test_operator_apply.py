@@ -350,16 +350,18 @@ def test_block_solve_matches_column_solves(kind):
 
 @pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense", "kronecker"])
 def test_handles_solve_blocks_only(kind, monkeypatch):
-    # a vector reaches the protected solve as a block of one column, from an apply and from shifted_solve
+    # a vector reaches the protected solve as a block of one column, from an apply and from shifted_solve;
+    # the tridiagonal and Kronecker-sum handles solve every term, a one-term solve too, in batches
     op = _handles()[kind]
     shapes = []
-    solve = type(op)._shifted_solve
+    name = "_shifted_solves" if "_shifted_solves" in vars(type(op)) else "_shifted_solve"
+    solve = getattr(type(op), name)
 
     def spy(self, sigma, tau, b):
-        shapes.append(b.shape)
+        shapes.extend([b.shape] * np.size(sigma))  # one entry per term
         return solve(self, sigma, tau, b)
 
-    monkeypatch.setattr(type(op), "_shifted_solve", spy)
+    monkeypatch.setattr(type(op), name, spy)
     b = np.random.default_rng(6).standard_normal(op.dimension)
     form = _form(0.5, 5)
     for parallel in (False, True):
@@ -589,6 +591,48 @@ def test_tridiagonal_solve_matches_solveh_banded():
                 x = op.shifted_solve(sigma, tau, b)
                 assert np.array_equal(x, solveh_banded(ab, b, lower=True)), (m, sigma, tau, b.shape)
                 assert np.array_equal(b, before)
+
+
+@pytest.mark.parametrize("kind, ms", [("fd-laplacian-1d", (1, 2, 3, 50, 1000)), ("fd-laplacian-2d", (1, 2, 6, 20))])
+def test_batched_solves_match_one_term_solves(kind, ms):
+    # 90 terms cross batch boundaries: a vector batch holds 32 terms on fd1d:1000 and 81 on fd2d:20
+    form = _form(0.5, 45)
+    rng = np.random.default_rng(12)
+    for m in ms:
+        op = builtin_operator(kind, m=m)
+        sigma, tau = form.term_arrays[1], form.term_arrays[2] / op.lambda_min
+        block = rng.standard_normal((op.dimension, 5))
+        blocks = {"vector": block[:, :1], "r=0": block[:, :0], "r=1": block[:, 1:2], "r=4": block[:, :4],
+                  "slice": block[:, 1:4:2]}
+        if op.dimension <= 400:
+            blocks["identity"] = np.eye(op.dimension)
+        for name, b in blocks.items():
+            solutions = list(op._shifted_solves(sigma, tau, b))
+            assert len(solutions) == sigma.size
+            for s, t, x in zip(sigma.tolist(), tau.tolist(), solutions):
+                one = op.shifted_solve(s, t, b[:, 0] if name == "vector" else b)
+                assert np.array_equal(x.reshape(one.shape), one), (m, name, s, t)
+
+
+def test_batched_solve_failure_names_the_failing_term(monkeypatch):
+    # ptsv reports the 5th leading minor of the 3rd block of the 2nd batch: the apply names that term
+    op = builtin_operator("fd-laplacian-1d", m=1000)
+    form = _form(0.5, 40)  # 80 terms, in batches of 32
+    calls = []
+    dptsv = operator_apply.dptsv
+
+    def failing(d, e, b, **kwargs):
+        calls.append(d.size)
+        out = dptsv(d, e, b, **kwargs)
+        return (*out[:3], 2 * 1000 + 5) if len(calls) == 2 else out
+
+    monkeypatch.setattr(operator_apply, "dptsv", failing)
+    fam, j, _, sigma, tau = list(form.terms())[32 + 2]
+    message = (rf"^shifted solve failed \(family {fam}, node {j}\): operator not positive definite: "
+               rf"sigma={re.escape(repr(sigma))}, tau={re.escape(repr(tau / op.lambda_min))}: 5th leading minor")
+    with pytest.raises(RuntimeError, match=message):
+        apply_fractional_inverse(op, np.ones(1000), form)
+    assert calls == [32 * 1000, 32 * 1000, 2 * 1000]  # the two terms before it are solved again
 
 
 def test_tridiagonal_one_point_solve_is_the_quotient():
