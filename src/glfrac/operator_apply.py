@@ -2,13 +2,14 @@
 
 Each retained node turns into one shifted solve (sigma I + tau L) X = B
 with sigma, tau >= 0, for a vector or a block B, so any operator that can
-solve such systems plugs in through OperatorHandle. The form is applied to
-L / lambda_min, whose spectrum starts at 1, and the result is multiplied
-back by lambda_min**(-alpha), which keeps the scalar error estimates valid
-verbatim.
+solve such systems plugs in through OperatorHandle. On a diagonal handle
+each such solve is one division per row, so an apply there evaluates the
+form on the spectrum instead, with eval_scalar, and scales the rows of B.
+The form is applied to L / lambda_min, whose spectrum starts at 1, and the
+result is multiplied back by lambda_min**(-alpha), which keeps the scalar
+error estimates valid verbatim.
 """
 
-import copy
 import math
 import os
 from abc import ABC, abstractmethod
@@ -19,7 +20,7 @@ from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal, eigvalsh, eigv
 from scipy.linalg.lapack import dptsv
 
 from .quadrature import _real, is_int_in, is_real
-from .scalar_core import RationalForm
+from .scalar_core import RationalForm, eval_scalar
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -83,9 +84,9 @@ class OperatorHandle(ABC):
     the shifts and B, and solves a vector (dim,) as a block of one column.
     An apply takes all its solutions from one call of _shifted_solves, which
     calls shifted_solve term by term unless a handle that shares work between
-    terms overrides it. The class attribute diagonal is True when a form acts
-    entrywise on spectrum(), as on diag(eigenvalues); then rows are
-    independent too, and an apply splits B into the row views _rows returns.
+    terms overrides it. The class attribute diagonal is True for a handle that
+    is diag(self.eigenvalues) in row order; an apply then makes no solve, and
+    evaluates the form on those values over lambda_min instead.
     """
 
     diagonal = False
@@ -143,12 +144,6 @@ class DiagonalOperator(OperatorHandle):
 
     def spectrum(self):
         return np.sort(self.eigenvalues)
-
-    def _rows(self, start: int, stop: int) -> "DiagonalOperator":
-        """diag(eigenvalues[start:stop]) as a view, not validated again."""
-        view = copy.copy(self)
-        view.dimension, view.eigenvalues = stop - start, self.eigenvalues[start:stop]
-        return view
 
     def _shifted_solve(self, sigma, tau, b):
         return b / (sigma + tau * self.eigenvalues)[:, None]
@@ -358,19 +353,21 @@ def apply_fractional_inverse(
 
     B is a vector (dim,), applied as a block of one column, or a block
     (dim, r). A node's solve against L / lambda_min is the solve
-    (sigma I + (tau / lambda_min) L) X = B. Each piece of B takes all k1 + k2
-    solutions from one call of its handle's _shifted_solves, in batches where
-    the handle shares work, and adds them up in the order of form.terms().
+    (sigma I + (tau / lambda_min) L) X = B. A handle that is not diagonal
+    yields all k1 + k2 solutions for the whole block from one call of its
+    _shifted_solves, in batches where it shares work, on the calling thread
+    whatever parallel says, and they are added up in the order of form.terms().
 
-    A diagonal handle's rows are independent, so its B goes into
-    max(min(workers, rows), ceil(rows / _BLOCK_ROWS)) near-equal row ranges,
-    each a piece; each term's temporaries over a range then stay in cache. A serial apply has one
-    worker, a parallel one has max_workers (default os.cpu_count()); with
-    more than one worker the ranges run on a pool of min(workers, ranges)
-    threads, otherwise in turn on the calling thread. Every entry goes
-    through the same operations in the same order either way, so parallel
-    output is bit-identical to serial output. Any other handle solves the
-    whole block as one piece on the calling thread, whatever parallel says.
+    A diagonal handle makes no solve: row i of the result is row i of B times
+    lambda_min**(-alpha) * eval_scalar(form, eigenvalues[i] / lambda_min), one
+    evaluation for all r columns. Its rows go into
+    max(min(workers, rows), ceil(rows / _BLOCK_ROWS)) near-equal ranges, each
+    a piece whose temporaries stay in cache. A serial apply has one worker, a
+    parallel one has max_workers (default os.cpu_count()); with more than one
+    worker the pieces run on a pool of min(workers, pieces) threads, otherwise
+    in turn on the calling thread. Every row goes through the same operations
+    in the same order either way, so parallel output is bit-identical to
+    serial output.
     """
     if max_workers is not None and not is_int_in(max_workers, 1):
         raise ValueError(f"max_workers must be None or an integer >= 1, got {max_workers!r}")
@@ -378,38 +375,40 @@ def apply_fractional_inverse(
     _check_finite("right-hand side", b)
     block = b.reshape(op.dimension, -1)
     scale = op.lambda_min ** (-form.alpha)
-    sigma, tau = form.term_arrays[1], form.term_arrays[2] / op.lambda_min
-    terms = [(fam, j, c) for fam, j, c, _, _ in form.terms()]
     out = np.zeros(block.shape)
-
-    def accumulate(handle, index):
-        rhs, acc = block[index], out[index]
-        solutions = handle._shifted_solves(sigma, tau, rhs)
-        for fam, j, c in terms:
+    if not op.diagonal:
+        solutions = op._shifted_solves(form.term_arrays[1], form.term_arrays[2] / op.lambda_min, block)
+        for fam, j, c, _, _ in form.terms():
             try:
                 sol = next(solutions)
             except Exception as exc:
                 raise RuntimeError(f"shifted solve failed (family {fam}, node {j}): {exc}") from exc
-            acc += c * sol
-        acc *= scale
+            out += c * sol
+        out *= scale
+        return out.reshape(b.shape)
+
+    def evaluate(lo, hi):
+        f = eval_scalar(form, op.eigenvalues[lo:hi] / op.lambda_min)
+        f *= scale
+        np.multiply(block[lo:hi], f[:, None], out=out[lo:hi])
 
     workers = (max_workers or os.cpu_count() or 1) if parallel else 1
     rows = op.dimension
-    p = max(min(workers, rows), math.ceil(rows / _BLOCK_ROWS)) if op.diagonal else 1
+    p = max(min(workers, rows), math.ceil(rows / _BLOCK_ROWS))
     bounds = [i * rows // p for i in range(p + 1)]
-    pieces = [(op._rows(lo, hi) if op.diagonal else op, np.s_[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    pieces = zip(bounds, bounds[1:])
     threads = min(workers, p)
     if threads == 1:
-        for piece in pieces:
-            accumulate(*piece)
+        for lo, hi in pieces:
+            evaluate(lo, hi)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for future in [pool.submit(accumulate, *piece) for piece in pieces]:
+            for future in [pool.submit(evaluate, lo, hi) for lo, hi in pieces]:
                 future.result()
     return out.reshape(b.shape)
 
 
 def dense_fractional_inverse(op: OperatorHandle, form: RationalForm) -> np.ndarray:
-    """Materialize the approximation of L**(-alpha) with one block solve of the identity per retained node."""
+    """Materialize the approximation of L**(-alpha) by applying the form to the identity as one block."""
     _check_dense_dim(op.dimension)
     return apply_fractional_inverse(op, np.eye(op.dimension), form)

@@ -502,8 +502,8 @@ def eval_scalar(form: RationalForm, lam):
         out = np.zeros_like(arr)
         buf = np.empty_like(arr)
         for ci, si, ti in zip(c.tolist(), sigma.tolist(), tau.tolist()):
-            np.multiply(arr, ti, out=buf)
-            buf += si
+            # every family-2 term has tau == 1, and 1.0 * lambda is lambda: one pass fewer, the same bits
+            np.add(arr if ti == 1.0 else np.multiply(arr, ti, out=buf), si, out=buf)
             np.divide(ci, buf, out=buf)
             out += buf
     return float(out) if scalar else out

@@ -29,6 +29,7 @@ from glfrac import (
     plan_balanced,
     plan_equalized,
     plan_full,
+    select_n,
     tail_weight_sum,
 )
 
@@ -60,7 +61,8 @@ def test_apply_on_identity_spectrum():
 
 
 def test_solve_counter_tracks_retained_nodes(count_solves):
-    op = DiagonalOperator(np.arange(1.0, 11.0))
+    # a diagonal handle makes no solve, so count on a dense handle with the same spectrum
+    op = DenseOperator(np.diag(np.arange(1.0, 11.0)), lambda_min=1.0)
     form = _form(0.5, 20)
     apply_fractional_inverse(op, np.ones(10), form)
     assert len(count_solves) == 40  # 2n for the full variant
@@ -74,7 +76,7 @@ def test_solve_counter_tracks_retained_nodes(count_solves):
     assert len(count_solves) == 19
 
 
-def test_parallel_output_bit_identical(count_solves):
+def test_parallel_output_bit_identical(monkeypatch, count_solves):
     op = builtin_operator("fd-laplacian-1d", m=50)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(50)
@@ -85,29 +87,34 @@ def test_parallel_output_bit_identical(count_solves):
     count_solves.clear()
     apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
     assert len(count_solves) == 60
-    # a diagonal handle's B splits into at least ceil(rows / 2**15) row ranges;
-    # any other handle's B is one piece; each piece runs the whole term loop
+    # a diagonal handle's B splits into at least ceil(rows / 2**15) row ranges, and
+    # each range evaluates the form once; any other handle's B is one piece that runs
+    # the whole term loop
     handles = {**_handles(), "diagonal-10k": builtin_operator("diag-power", size=10_000, exponent=2.0),
                "diagonal-40k": builtin_operator("diag-power", size=40_000, exponent=2.0)}
     form = _form(0.75, 20, "equalized")
     terms = form.k1 + form.k2
     rng = np.random.default_rng(3)
+    evaluations = _evaluations(monkeypatch)
 
-    def pieces(op, workers):
+    def work(op, workers):
+        """(evaluations, solves) of one apply."""
         rows = op.dimension
-        return max(min(workers, rows), math.ceil(rows / 2**15)) if op.diagonal else 1
+        return (max(min(workers, rows), math.ceil(rows / 2**15)), 0) if op.diagonal else (0, terms)
 
     for name, op in handles.items():
         for r in (None, 0, 1, 4):
             b = rng.standard_normal(op.dimension if r is None else (op.dimension, r))
             count_solves.clear()
+            evaluations.clear()
             serial = apply_fractional_inverse(op, b, form)
-            assert len(count_solves) == pieces(op, 1) * terms, (name, r)
+            assert (len(evaluations), len(count_solves)) == work(op, 1), (name, r)
             for workers in (1, 2, 3, 4):
                 count_solves.clear()
+                evaluations.clear()
                 threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=workers)
                 assert threaded.shape == serial.shape and np.array_equal(threaded, serial), (name, r, workers)
-                assert len(count_solves) == pieces(op, workers) * terms, (name, r, workers)
+                assert (len(evaluations), len(count_solves)) == work(op, workers), (name, r, workers)
 
 
 def _diagonal_inits(monkeypatch):
@@ -123,33 +130,66 @@ def _diagonal_inits(monkeypatch):
     return inits
 
 
+def _evaluations(monkeypatch):
+    """A list that gets the number of points of every eval_scalar call an apply makes, on any thread."""
+    sizes = []
+    evaluate = operator_apply.eval_scalar
+
+    def spy(form, lam):
+        sizes.append(np.size(lam))  # list.append is atomic under the GIL
+        return evaluate(form, lam)
+
+    monkeypatch.setattr(operator_apply, "eval_scalar", spy)
+    return sizes
+
+
 def test_parallel_row_pieces_are_unvalidated_diagonal_views(monkeypatch, count_solves):
     op = builtin_operator("diag-power", size=1000, exponent=2.0)
     inits = _diagonal_inits(monkeypatch)
-    form = _form(0.5, 10)
-    apply_fractional_inverse(op, np.ones(1000), form, parallel=True, max_workers=3)
-    assert sorted(set(count_solves)) == [(DiagonalOperator, 333), (DiagonalOperator, 334)]
-    assert len(count_solves) == 3 * (form.k1 + form.k2) and inits == []
+    evaluations = _evaluations(monkeypatch)
+    apply_fractional_inverse(op, np.ones(1000), _form(0.5, 10), parallel=True, max_workers=3)
+    # one evaluation per row range, no solve and no new handle
+    assert sorted(evaluations) == [333, 333, 334]
+    assert count_solves == [] and inits == []
 
 
 def test_diagonal_apply_runs_cache_sized_row_pieces(monkeypatch, count_solves):
     op = builtin_operator("diag-power", size=80_000, exponent=2.0)
     inits = _diagonal_inits(monkeypatch)
+    evaluations = _evaluations(monkeypatch)
     form = _form(0.5, 10)
-    terms = form.k1 + form.k2
     b = np.random.default_rng(4).standard_normal(80_000)
     serial = apply_fractional_inverse(op, b, form)
     # ceil(80000 / 2**15) = 3 near-equal row ranges, one after another on the calling thread
-    assert count_solves == [(DiagonalOperator, 26666)] * terms + [(DiagonalOperator, 26667)] * (2 * terms)
-    assert inits == []
+    assert evaluations == [26666, 26667, 26667]
+    assert count_solves == [] and inits == []
     for workers in (1, 2, 3, 4):
         threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=workers)
         assert np.array_equal(threaded, serial), workers
+    # each row of b times the form summed term by term on the unit spectrum, then scaled
+    unit = op.eigenvalues / op.lambda_min
     reference = np.zeros(80_000)
     for _, _, c, sigma, tau in form.terms():
-        reference += c * (b / (sigma + (tau / op.lambda_min) * op.eigenvalues))
+        reference += c / (sigma + tau * unit)
     reference *= op.lambda_min ** (-form.alpha)
-    assert np.array_equal(serial, reference)
+    assert np.array_equal(serial, b * reference)
+
+
+def test_diagonal_apply_matches_per_term_solves():
+    # the 12 forms of the benchmark's apply-mix, against the sum of one diagonal solve per term
+    op = builtin_operator("diag-power", size=100_000, exponent=2.0)
+    b = np.random.default_rng(13).standard_normal(op.dimension)
+    for alpha in (0.25, 0.5, 0.75):
+        for tol in (1e-6, 1e-8):
+            n, _ = select_n(alpha, tol)
+            for plan in (plan_balanced(n, alpha), plan_equalized(n, alpha)):
+                form = build_rational(alpha, plan)
+                reference = np.zeros(op.dimension)
+                for _, _, c, sigma, tau in form.terms():
+                    reference += c * (b / (sigma + (tau / op.lambda_min) * op.eigenvalues))
+                reference *= op.lambda_min ** (-alpha)
+                x = apply_fractional_inverse(op, b, form)
+                np.testing.assert_allclose(x, reference, rtol=1e-14, atol=0.0, err_msg=f"{alpha} {tol} {plan}")
 
 
 def test_parallel_coupled_vector_runs_without_a_pool(monkeypatch):
@@ -189,16 +229,16 @@ def test_apply_is_linear():
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-15)
 
 
-def test_diagonal_equivalence_with_scalar_eval():
-    eigs = np.array([2.0, 6.0, 50.0, 4444.0])
-    op = DiagonalOperator(eigs)
-    form = _form(0.5, 15)
-    dense = dense_fractional_inverse(op, form)
-    post = op.lambda_min ** -0.5
-    expected = post * eval_scalar(form, eigs / op.lambda_min)
-    np.testing.assert_allclose(np.diag(dense), expected, rtol=1e-13)
-    off = dense - np.diag(np.diag(dense))
-    assert np.all(off == 0.0)
+def test_diagonal_equivalence_with_scalar_eval(monkeypatch, count_solves):
+    evaluations = _evaluations(monkeypatch)
+    for eigs, form in ((np.array([2.0, 6.0, 50.0, 4444.0]), _form(0.5, 15)),
+                       (np.random.default_rng(14).permutation(np.arange(2.0, 302.0) ** 1.5), _form(0.75, 30, "balanced"))):
+        op = DiagonalOperator(eigs)
+        evaluations.clear()
+        dense = dense_fractional_inverse(op, form)
+        # one evaluation for all columns of the identity, and no solve
+        assert evaluations == [eigs.size] and count_solves == []
+        assert np.array_equal(dense, np.diag(op.lambda_min ** (-form.alpha) * eval_scalar(form, eigs / op.lambda_min)))
 
 
 def test_dense_fractional_inverse_symmetric():
@@ -367,7 +407,7 @@ def test_handles_solve_blocks_only(kind, monkeypatch):
     for parallel in (False, True):
         assert apply_fractional_inverse(op, b, form, parallel=parallel, max_workers=3).shape == b.shape
     assert op.shifted_solve(1.0, 0.5, b).shape == b.shape
-    pieces = 1 + (3 if op.diagonal else 1)  # serial, then 3 row ranges or 1 column
+    pieces = 0 if op.diagonal else 2  # a diagonal apply makes no solve; any other, serial then parallel
     assert len(shapes) == pieces * (form.k1 + form.k2) + 1
     assert all(len(shape) == 2 and shape[1] == 1 for shape in shapes), shapes
 
@@ -658,10 +698,10 @@ def test_shift_validation():
 
 
 def test_solve_failure_names_node_and_family():
-    class Broken(DiagonalOperator):
+    class Broken(DenseOperator):  # a diagonal apply makes no solve that could fail
         def _shifted_solve(self, sigma, tau, v):
             raise np.linalg.LinAlgError("synthetic breakdown")
 
-    op = Broken([1.0, 2.0])
+    op = Broken(np.diag([1.0, 2.0]), lambda_min=1.0)
     with pytest.raises(RuntimeError, match=r"shifted solve failed \(family 1, node 1\)"):
         apply_fractional_inverse(op, np.ones(2), _form(0.5, 3))
