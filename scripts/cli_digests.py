@@ -36,14 +36,17 @@ from workloads import FigureSweep  # noqa: E402
 # sits below its closed-form lambda_min. The third solves 1 x 1 tridiagonal
 # systems, which are one quotient each, not a factorization. The fourth and
 # fifth materialize dense inverses on the tridiagonal and Kronecker-sum
-# handles. The last two solve 90 terms in batches: 32 terms to a batch on
-# fd1d:1000 and 81 on fd2d:20, so their sums cross batch boundaries.
+# handles, and the sixth on fd2d:20, whose 400-row reference eigensolve meets
+# the Kronecker sum's double eigenvalues mu_a + mu_b (a != b). The last two
+# solve 90 terms in batches: 32 terms to a batch on fd1d:1000 and 81 on
+# fd2d:20, so their sums cross batch boundaries.
 EXTRA_COMMANDS = (
     ("matrix-error", "--alpha", "0.5", "--nmax", "200", "--op", "diagpow:100:8"),
     ("compare", "--alpha", "0.5", "--spectrum", "fd1d:15", "--solves", "11,21"),
     ("apply", "--op", "fd1d:1", "--alpha", "0.5", "--n", "4", "--seed", "5"),
     ("matrix-error", "--alpha", "0.5", "--nmax", "4", "--op", "fd1d:12"),
     ("matrix-error", "--alpha", "0.5", "--nmax", "2", "--op", "fd2d:3"),
+    ("matrix-error", "--alpha", "0.5", "--nmax", "3", "--op", "fd2d:20"),
     *(("apply", "--op", op, "--alpha", "0.5", "--n", "45", "--variant", "full", "--seed", "5")
       for op in ("fd1d:1000", "fd2d:20")),
 )

@@ -15,12 +15,12 @@ small colon-separated mini-language:
 
 import argparse
 import sys
+import warnings
 from bisect import bisect_right
 from functools import cache
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .quadrature import check_order, gauss_laguerre
 from .scalar_core import (
@@ -66,19 +66,29 @@ def _emit(header: str, rows, out: str | None):
     _write([header, *(",".join(_cell(x) for x in row) for row in rows)], out)
 
 
+def _load_rows(source, name: str) -> np.ndarray:
+    """The floats in source (a path or an open file) as rows; a file with none is refused by name, without numpy's warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(source, dtype=float, ndmin=2)
+    if rows.size == 0:
+        raise ValueError(f"{name} holds no numbers")
+    return rows
+
+
 def _read_column(path: str, what: str) -> np.ndarray:
-    column = np.loadtxt(path, dtype=float, ndmin=2)
+    column = _load_rows(path, path)
     if column.shape[1] != 1:
         raise ValueError(f"{what} must be one column, got shape {column.shape} from {path}")
     return column[:, 0]
 
 
-def _int_token(token: str, source: str) -> int:
-    """token read as an integer, as argparse reads an int option: "5.0" and "x" are refused by name."""
+def _number(token: str, kind: type, source: str):
+    """token read as kind (int or float), as argparse reads a typed option: "5.0" as an int and "x" are refused by name."""
     try:
-        return int(token)
+        return kind(token)
     except ValueError:
-        raise ValueError(f"{source}: {token!r} is not an integer") from None
+        raise ValueError(f"{source}: {token!r} is not {'an integer' if kind is int else 'a number'}") from None
 
 
 def parse_operator(spec: str):
@@ -104,8 +114,9 @@ def parse_operator(spec: str):
             first = fh.readline().split()
             if len(first) != 2:
                 raise ValueError("dense file must start with 'dim lambda_min'")
-            dim, lambda_min = _int_token(first[0], f"dense file {rest} header"), float(first[1])
-            matrix = np.loadtxt(fh, dtype=float, ndmin=2)
+            dim = _number(first[0], int, f"dense file {rest} header")
+            lambda_min = _number(first[1], float, f"dense file {rest} header lambda_min")
+            matrix = _load_rows(fh, rest)
         if matrix.shape != (dim, dim):
             raise ValueError("dense file body does not match its declared dimension")
         return DenseOperator(matrix, lambda_min=lambda_min)
@@ -168,7 +179,8 @@ def _cmd_matrix_error(args):
         def error(form):
             return post * oracle_diag_norm_error(scaled_eigs, form)
     else:
-        w, v = eigh(op.to_dense())
+        # LAPACK dsyevd (divide and conquer): fd2d spectra have double eigenvalues, where MRRR (dsyevr) is slow
+        w, v = np.linalg.eigh(op.to_dense())
         exact_power = (v * w ** (-args.alpha)) @ v.T
 
         def error(form):
@@ -207,7 +219,7 @@ def _largest_n_with_budget(variant: str, alpha: float, budget: int) -> int | Non
 
 def _cmd_compare(args):
     op = parse_operator(args.spectrum)
-    budgets = sorted({_int_token(tok, f"--solves {args.solves}") for tok in args.solves.split(",") if tok.strip()})
+    budgets = sorted({_number(tok, int, f"--solves {args.solves}") for tok in args.solves.split(",") if tok.strip()})
     if not budgets:
         raise ValueError("no solve budgets given")
     post = op.lambda_min ** (-args.alpha)

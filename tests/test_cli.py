@@ -17,6 +17,7 @@ from glfrac import (
     apply_fractional_inverse,
     build_rational,
     gauss_laguerre,
+    oracle_diag_norm_error,
     plan_balanced,
     plan_equalized,
     plan_full,
@@ -175,6 +176,56 @@ def test_malformed_integers_are_named(tmp_path, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_malformed_dense_lambda_min_is_named(tmp_path, capsys):
+    # this raised float()'s own message, "could not convert string to float: 'abc'", naming no input
+    path = tmp_path / "mat.txt"
+    path.write_text("2 abc\n2.0 1.0\n1.0 2.0\n")
+    assert main(["apply", "--op", f"dense:{path}", "--alpha", "0.5", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: dense file {path} header lambda_min: 'abc' is not a number\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("site", ["diag", "rhs", "dense"])
+def test_empty_input_files_are_named(tmp_path, capsys, site):
+    # numpy's "loadtxt: input contained no data" warning came first and, with warnings as errors, escaped main
+    empty = tmp_path / "empty.txt"
+    empty.write_text("" if site != "dense" else "2 1.0\n")
+    argv = {"diag": ["matrix-error", "--alpha", "0.5", "--nmax", "2", "--op", f"diag:{empty}"],
+            "rhs": ["apply", "--op", "fd1d:3", "--alpha", "0.5", "--n", "2", "--rhs", str(empty)],
+            "dense": ["apply", "--op", f"dense:{empty}", "--alpha", "0.5", "--n", "2"]}[site]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {empty} holds no numbers\n" and captured.out == ""
+
+
+def _fd_unit_spectrum(op_spec):
+    """The closed-form spectrum of fd1d:M or fd2d:M over the handle's lambda_min, clipped at 1."""
+    kind, m = op_spec.split(":")
+    m = int(m)
+    j = np.arange(1, m + 1)
+    mu = 4.0 * (m + 1) ** 2 * np.sin(j * np.pi / (2.0 * (m + 1))) ** 2
+    eigenvalues = mu if kind == "fd1d" else (mu[:, None] + mu[None, :]).ravel()
+    return np.maximum(eigenvalues / parse_operator(op_spec).lambda_min, 1.0)
+
+
+@pytest.mark.parametrize("op_spec, alpha, variant, nmax", [("fd1d:40", 0.75, "full", 30),
+                                                            ("fd2d:6", 0.5, "balanced", 24)])
+def test_dense_matrix_error_matches_closed_form_spectrum(tmp_path, op_spec, alpha, variant, nmax):
+    # the dense reference (one eigendecomposition of the assembled matrix) against the exact spectrum
+    code, text = run_cli(tmp_path, "matrix-error", "--alpha", str(alpha), "--nmax", str(nmax),
+                         "--op", op_spec, "--variant", variant)
+    assert code == 0
+    unit = _fd_unit_spectrum(op_spec)
+    post = parse_operator(op_spec).lambda_min ** (-alpha)
+    plans = {"full": plan_full, "balanced": lambda n: plan_balanced(n, alpha)}
+    lines = text.strip().split("\n")
+    assert lines[0] == "n,inversions,error,estimate" and len(lines) == nmax + 1
+    for n, line in enumerate(lines[1:], start=1):
+        expected = post * oracle_diag_norm_error(unit, build_rational(alpha, plans[variant](n)))
+        assert float(line.split(",")[2]) == pytest.approx(expected, rel=1e-6, abs=0)
 
 
 def test_fd_operator_specs():
