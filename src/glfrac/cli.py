@@ -111,14 +111,15 @@ def parse_operator(spec: str):
         if not rest:
             raise ValueError(f"bad operator spec: {spec}")
         with open(rest) as fh:
-            first = fh.readline().split()
+            header = fh.readline().strip()
+            first = header.split()
             if len(first) != 2:
-                raise ValueError("dense file must start with 'dim lambda_min'")
+                raise ValueError(f"dense file {rest} must start with 'dim lambda_min', got {header!r}")
             dim = _number(first[0], int, f"dense file {rest} header")
             lambda_min = _number(first[1], float, f"dense file {rest} header lambda_min")
             matrix = _load_rows(fh, rest)
         if matrix.shape != (dim, dim):
-            raise ValueError("dense file body does not match its declared dimension")
+            raise ValueError(f"dense file {rest} body has shape {matrix.shape}, but its header declares dim {dim}")
         return DenseOperator(matrix, lambda_min=lambda_min)
     raise ValueError(f"unknown operator spec: {spec}")
 

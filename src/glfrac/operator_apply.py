@@ -8,19 +8,29 @@ form on the spectrum instead, with eval_scalar, and scales the rows of B.
 The form is applied to L / lambda_min, whose spectrum starts at 1, and the
 result is multiplied back by lambda_min**(-alpha), which keeps the scalar
 error estimates valid verbatim.
+
+scipy.linalg is imported by the first tridiagonal, dense or Kronecker-sum
+handle built, or the first solve, and concurrent.futures by the first
+parallel diagonal apply that starts a pool: their names below are stand-ins
+from quadrature._lazy. A diagonal handle and its applies never load scipy.
 """
 
 import math
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal, eigvalsh, eigvalsh_tridiagonal
-from scipy.linalg.lapack import dptsv
 
-from .quadrature import _real, is_int_in, is_real
+from .quadrature import _lazy, _real, is_int_in, is_real
 from .scalar_core import RationalForm, eval_scalar
+
+cho_factor = _lazy("scipy.linalg", "cho_factor")
+cho_solve = _lazy("scipy.linalg", "cho_solve")
+eigh_tridiagonal = _lazy("scipy.linalg", "eigh_tridiagonal")
+eigvalsh = _lazy("scipy.linalg", "eigvalsh")
+eigvalsh_tridiagonal = _lazy("scipy.linalg", "eigvalsh_tridiagonal")
+dptsv = _lazy("scipy.linalg.lapack", "dptsv")
+ThreadPoolExecutor = _lazy("concurrent.futures", "ThreadPoolExecutor")
 
 __all__ = [
     "NotPositiveDefiniteError",

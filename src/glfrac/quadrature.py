@@ -5,14 +5,19 @@ For the Laguerre recurrence the diagonal is 2k + 1 and the symmetric
 off-diagonal entry is k, so the full rule is one banded eigensolve. This
 route stays accurate at orders where the classical polynomial-root chasers
 break down in double precision.
+
+scipy.linalg is imported by the first rule built, not with this module, so
+the order checks and cached rules run on numpy alone. eigh_tridiagonal here
+is a stand-in made by _lazy, as are the scipy names of operator_apply: a
+module attribute that imports the real function's module when first called.
 """
 
+import importlib
 import math
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 # Largest supported order. A banded eigensolve at this size takes well under
 # a second. It bounds what order selection can reach: at alpha = 0.1 the
@@ -25,6 +30,16 @@ _INTEGER_TYPES = (int, np.integer)  # is_int_in's integer types; it refuses bool
 _REAL_TYPES = (int, float, np.integer, np.floating)  # is_real's types; it refuses bool too
 _FLOAT_MAX = float(np.finfo(float).max)
 _NOT_REAL_KINDS = {"b": "bool", "c": "complex", "S": "bytes", "U": "str", "O": "object"}  # named in _real's refusal
+
+
+def _lazy(module: str, name: str):
+    """A stand-in for `from module import name`: each call looks name up in module, imported on first use (~1 us)."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module), name)(*args, **kwargs)
+    return call
+
+
+eigh_tridiagonal = _lazy("scipy.linalg", "eigh_tridiagonal")
 
 
 class OrderOutOfRangeError(ValueError):

@@ -188,6 +188,27 @@ def test_malformed_dense_lambda_min_is_named(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text, header", [("", ""), ("2\n2.0\n", "2")], ids=["empty", "one-token"])
+def test_dense_file_without_a_two_token_header_is_named(tmp_path, capsys, text, header):
+    # this said "dense file must start with 'dim lambda_min'", naming neither the file nor its first line
+    path = tmp_path / "mat.txt"
+    path.write_text(text)
+    assert main(["apply", "--op", f"dense:{path}", "--alpha", "0.5", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: dense file {path} must start with 'dim lambda_min', got {header!r}\n"
+    assert captured.out == ""
+
+
+def test_dense_file_body_of_the_wrong_shape_is_named(tmp_path, capsys):
+    # this said "dense file body does not match its declared dimension", naming no file, dim or shape
+    path = tmp_path / "mat.txt"
+    path.write_text("3 1.0\n2.0 1.0\n1.0 2.0\n")
+    assert main(["apply", "--op", f"dense:{path}", "--alpha", "0.5", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: dense file {path} body has shape (2, 2), but its header declares dim 3\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("site", ["diag", "rhs", "dense"])
 def test_empty_input_files_are_named(tmp_path, capsys, site):
     # numpy's "loadtxt: input contained no data" warning came first and, with warnings as errors, escaped main
@@ -436,3 +457,17 @@ def test_import_leaves_scipy_optimize_unloaded():
     code = "import sys, glfrac, glfrac.cli; print('scipy.optimize' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert proc.stdout.strip() == "False"
+
+
+def test_scipy_loads_on_the_first_rule_built():
+    # select-n and estimate are scalar code; scipy.linalg came with `import glfrac` and took most of a cold start
+    code = ("import sys, glfrac, glfrac.cli\n"
+            "from glfrac.cli import main\n"
+            "assert main(['select-n', '--alpha', '0.5', '--tol', '1e-8']) == 0\n"
+            "assert main(['estimate', '--alpha', '0.5', '--n', '20']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))\n"
+            "glfrac.gauss_laguerre(8)\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=_env_with_src())
+    assert proc.stdout.splitlines()[-2:] == ["[]", "True"]
