@@ -51,13 +51,15 @@ EXTRA_COMMANDS = (
       for op in ("fd1d:1000", "fd2d:20")),
 )
 
-# Commands whose output must not depend on --parallel: on a diagonal handle
-# the right-hand side splits into row ranges that run on a pool, while fd1d
-# and fd2d solve it as one piece on the calling thread.
+# Commands whose output must not depend on --parallel. A diagonal handle cuts
+# its rows into ceil(rows / 2**15) ranges either way: diagpow:20000:2 is one
+# range, which runs on the calling thread, and diagpow:70000:2 is three, which
+# run on a pool. fd1d and fd2d solve the right-hand side as one piece on the
+# calling thread.
 THREADED_COMMANDS = tuple(
     ("apply", "--op", op, "--alpha", alpha, "--n", "40", "--variant", variant, "--seed", "5")
-    for op, alpha, variant in itertools.product(("diagpow:20000:2", "fd1d:300", "fd2d:20"), ("0.25", "0.75"),
-                                                ("balanced", "equalized")))
+    for op, alpha, variant in itertools.product(("diagpow:20000:2", "diagpow:70000:2", "fd1d:300", "fd2d:20"),
+                                                ("0.25", "0.75"), ("balanced", "equalized")))
 
 
 def _sha256(data: bytes) -> str:

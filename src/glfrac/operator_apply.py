@@ -2,7 +2,7 @@
 
 Each retained node turns into one shifted solve (sigma I + tau L) X = B
 with sigma, tau >= 0, for a vector or a block B, so any operator that can
-solve such systems plugs in through OperatorHandle. On a diagonal handle
+solve batches of them plugs in through OperatorHandle. On a diagonal handle
 each such solve is one division per row, so an apply there evaluates the
 form on the spectrum instead, with eval_scalar, and scales the rows of B.
 The form is applied to L / lambda_min, whose spectrum starts at 1, and the
@@ -51,9 +51,10 @@ __all__ = [
 # the diagonal, tridiagonal and Kronecker-sum handles are not capped.
 DENSE_DIM_CAP = 2000
 
-# The one cache budget of an apply: the most rows in a diagonal apply's piece and the
-# most right-hand-side entries in a batch of shifted solves. Chosen by paired timings
-# of 2**13, 2**14 and 2**15: a piece's few temporaries then fit in a 2 MB L2 cache.
+# The one cache budget of an apply: the most rows in a diagonal apply's piece, so the
+# most a parallel one runs without a pool, and the most right-hand-side entries in a
+# batch of shifted solves. Chosen by paired timings of 2**13, 2**14 and 2**15: a
+# piece's few temporaries then fit in a 2 MB L2 cache.
 _BLOCK_ROWS = 2**15
 
 
@@ -87,16 +88,17 @@ def _check_finite(name: str, a: np.ndarray):
 class OperatorHandle(ABC):
     """A self-adjoint positive operator exposing shifted solves.
 
-    Concrete handles implement spectrum() and the protected solve of
-    (sigma I + tau L) X = B for a block B (dim, r) whose columns are solved
-    independently: a solve of some of the columns gives the same bits as
-    those columns of a whole-block solve. The public shifted_solve checks
-    the shifts and B, and solves a vector (dim,) as a block of one column.
-    An apply takes all its solutions from one call of _shifted_solves, which
-    calls shifted_solve term by term unless a handle that shares work between
-    terms overrides it. The class attribute diagonal is True for a handle that
-    is diag(self.eigenvalues) in row order; an apply then makes no solve, and
-    evaluates the form on those values over lambda_min instead.
+    A concrete handle implements one protected generator, _shifted_solves,
+    which yields X of (sigma[j] I + tau[j] L) X = B for each j of checked
+    1-D shift arrays against a checked block B (dim, r), sharing work between
+    terms where it can. Columns are solved independently: a solve of some of
+    the columns gives the same bits as those columns of a whole-block solve.
+    The public shifted_solve checks the shifts and B, and solves a vector
+    (dim,) as a block of one column in a batch of one term. An apply takes
+    all its solutions from one call of _shifted_solves. The class attribute
+    diagonal is True for a handle that is diag(self.eigenvalues) in row
+    order; an apply then makes no solve, and evaluates the form on those
+    values over lambda_min instead.
     """
 
     diagonal = False
@@ -120,8 +122,8 @@ class OperatorHandle(ABC):
         raise ValueError("operator has no dense spectrum access")
 
     @abstractmethod
-    def _shifted_solve(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
-        ...
+    def _shifted_solves(self, sigma: np.ndarray, tau: np.ndarray, b: np.ndarray):
+        """Yield X of (sigma[j] I + tau[j] L) X = B for each j of the checked shifts; a failing j raises when due."""
 
     def shifted_solve(self, sigma: float, tau: float, b) -> np.ndarray:
         """Solve (sigma I + tau L) X = B for finite sigma, tau >= 0, not both zero; X has the shape of B."""
@@ -129,12 +131,8 @@ class OperatorHandle(ABC):
             raise ValueError(f"shift coefficients must be finite, nonnegative and not both zero: "
                              f"sigma={sigma!r}, tau={tau!r}")
         b = self._check_rhs(b)
-        return self._shifted_solve(float(sigma), float(tau), b.reshape(self.dimension, -1)).reshape(b.shape)
-
-    def _shifted_solves(self, sigma: np.ndarray, tau: np.ndarray, b: np.ndarray):
-        """Yield X of (sigma[j] I + tau[j] L) X = B for each j of the checked shifts; a failing j raises when due."""
-        for s, t in zip(sigma.tolist(), tau.tolist()):
-            yield self.shifted_solve(s, t, b)
+        block = b.reshape(self.dimension, -1)
+        return next(self._shifted_solves(np.array([float(sigma)]), np.array([float(tau)]), block)).reshape(b.shape)
 
 
 class DiagonalOperator(OperatorHandle):
@@ -155,8 +153,8 @@ class DiagonalOperator(OperatorHandle):
     def spectrum(self):
         return np.sort(self.eigenvalues)
 
-    def _shifted_solve(self, sigma, tau, b):
-        return b / (sigma + tau * self.eigenvalues)[:, None]
+    def _shifted_solves(self, sigma, tau, b):
+        return (b / (s + t * self.eigenvalues)[:, None] for s, t in zip(sigma.tolist(), tau.tolist()))
 
 
 class TridiagonalOperator(OperatorHandle):
@@ -191,9 +189,6 @@ class TridiagonalOperator(OperatorHandle):
 
     def spectrum(self):
         return eigvalsh_tridiagonal(self.diag, self.off)
-
-    def _shifted_solve(self, sigma, tau, b):
-        return next(self._shifted_solves(np.array([sigma]), np.array([tau]), b))
 
     def _shifted_solves(self, sigma, tau, b):
         m, r = b.shape
@@ -256,15 +251,16 @@ class DenseOperator(OperatorHandle):
     def spectrum(self):
         return eigvalsh(self.matrix)
 
-    def _shifted_solve(self, sigma, tau, b):
-        shifted = tau * self.matrix
-        shifted[np.diag_indices_from(shifted)] += sigma
-        try:
-            factor = cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                f"operator not positive definite: sigma={sigma!r}, tau={tau!r}: {exc}") from exc
-        return cho_solve(factor, b, check_finite=False)
+    def _shifted_solves(self, sigma, tau, b):
+        for s, t in zip(sigma.tolist(), tau.tolist()):
+            shifted = t * self.matrix
+            shifted[np.diag_indices_from(shifted)] += s
+            try:
+                factor = cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveDefiniteError(
+                    f"operator not positive definite: sigma={s!r}, tau={t!r}: {exc}") from exc
+            yield cho_solve(factor, b, check_finite=False)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.copy()
@@ -283,6 +279,8 @@ class KroneckerSumOperator(OperatorHandle):
     """
 
     def __init__(self, t: TridiagonalOperator):
+        if not isinstance(t, TridiagonalOperator):
+            raise ValueError(f"a Kronecker sum needs a TridiagonalOperator factor, got {type(t).__name__}")
         m = t.dimension
         super().__init__(m * m, 2.0 * t.lambda_min)
         self.t = t
@@ -291,9 +289,6 @@ class KroneckerSumOperator(OperatorHandle):
 
     def spectrum(self):
         return np.sort(self._grid, axis=None)
-
-    def _shifted_solve(self, sigma, tau, b):
-        return next(self._shifted_solves(np.array([sigma]), np.array([tau]), b))
 
     def _shifted_solves(self, sigma, tau, b):
         m, r, q = self.t.dimension, b.shape[1], self._q
@@ -370,14 +365,13 @@ def apply_fractional_inverse(
 
     A diagonal handle makes no solve: row i of the result is row i of B times
     lambda_min**(-alpha) * eval_scalar(form, eigenvalues[i] / lambda_min), one
-    evaluation for all r columns. Its rows go into
-    max(min(workers, rows), ceil(rows / _BLOCK_ROWS)) near-equal ranges, each
-    a piece whose temporaries stay in cache. A serial apply has one worker, a
-    parallel one has max_workers (default os.cpu_count()); with more than one
-    worker the pieces run on a pool of min(workers, pieces) threads, otherwise
-    in turn on the calling thread. Every row goes through the same operations
-    in the same order either way, so parallel output is bit-identical to
-    serial output.
+    evaluation for all r columns. Its rows go into ceil(rows / _BLOCK_ROWS)
+    near-equal ranges, each a piece whose temporaries stay in cache. A serial
+    apply has one worker, a parallel one has max_workers (default
+    os.cpu_count()); the pieces run on a pool of min(workers, pieces) threads
+    when that is more than one, otherwise in turn on the calling thread. Every
+    row goes through the same operations in the same order either way, so
+    parallel output is bit-identical to serial output.
     """
     if max_workers is not None and not is_int_in(max_workers, 1):
         raise ValueError(f"max_workers must be None or an integer >= 1, got {max_workers!r}")
@@ -402,12 +396,11 @@ def apply_fractional_inverse(
         f *= scale
         np.multiply(block[lo:hi], f[:, None], out=out[lo:hi])
 
-    workers = (max_workers or os.cpu_count() or 1) if parallel else 1
     rows = op.dimension
-    p = max(min(workers, rows), math.ceil(rows / _BLOCK_ROWS))
+    p = math.ceil(rows / _BLOCK_ROWS)
     bounds = [i * rows // p for i in range(p + 1)]
     pieces = zip(bounds, bounds[1:])
-    threads = min(workers, p)
+    threads = min((max_workers or os.cpu_count() or 1) if parallel else 1, p)
     if threads == 1:
         for lo, hi in pieces:
             evaluate(lo, hi)

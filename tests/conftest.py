@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from glfrac import KroneckerSumOperator, OperatorHandle, TridiagonalOperator
+from glfrac import DenseOperator, DiagonalOperator, KroneckerSumOperator, TridiagonalOperator
 
 settings.register_profile(
     "numeric",
@@ -16,29 +16,19 @@ settings.load_profile("numeric")
 def count_solves(monkeypatch):
     """A list that gets (type(handle), handle.dimension) for every shifted solve, on any thread.
 
-    The tridiagonal and Kronecker-sum handles solve every term, a one-term
-    shifted_solve too, through their batched _shifted_solves, which records
-    one entry per term it yields; any other handle records one per
-    shifted_solve call.
+    Each stock handle's _shifted_solves records one entry per term it yields,
+    so a one-term shifted_solve records one too.
     """
     calls = []
-    batched = (TridiagonalOperator, KroneckerSumOperator)
-    solve = OperatorHandle.shifted_solve
 
-    def counted(self, sigma, tau, b):
-        if not isinstance(self, batched):
-            calls.append((type(self), self.dimension))  # list.append is atomic under the GIL
-        return solve(self, sigma, tau, b)
-
-    def counted_batch(solves):
+    def counted(solves):
         def wrapper(self, sigma, tau, b):
             for x in solves(self, sigma, tau, b):
-                calls.append((type(self), self.dimension))
+                calls.append((type(self), self.dimension))  # list.append is atomic under the GIL
                 yield x
 
         return wrapper
 
-    monkeypatch.setattr(OperatorHandle, "shifted_solve", counted)
-    for cls in batched:
-        monkeypatch.setattr(cls, "_shifted_solves", counted_batch(cls._shifted_solves))
+    for cls in (DiagonalOperator, TridiagonalOperator, DenseOperator, KroneckerSumOperator):
+        monkeypatch.setattr(cls, "_shifted_solves", counted(cls._shifted_solves))
     return calls

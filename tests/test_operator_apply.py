@@ -1,5 +1,6 @@
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -87,9 +88,9 @@ def test_parallel_output_bit_identical(monkeypatch, count_solves):
     count_solves.clear()
     apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
     assert len(count_solves) == 60
-    # a diagonal handle's B splits into at least ceil(rows / 2**15) row ranges, and
-    # each range evaluates the form once; any other handle's B is one piece that runs
-    # the whole term loop
+    # a diagonal handle's B splits into ceil(rows / 2**15) row ranges whatever the
+    # worker count, and each range evaluates the form once; any other handle's B is
+    # one piece that runs the whole term loop
     handles = {**_handles(), "diagonal-10k": builtin_operator("diag-power", size=10_000, exponent=2.0),
                "diagonal-40k": builtin_operator("diag-power", size=40_000, exponent=2.0)}
     form = _form(0.75, 20, "equalized")
@@ -100,7 +101,7 @@ def test_parallel_output_bit_identical(monkeypatch, count_solves):
     def work(op, workers):
         """(evaluations, solves) of one apply."""
         rows = op.dimension
-        return (max(min(workers, rows), math.ceil(rows / 2**15)), 0) if op.diagonal else (0, terms)
+        return (math.ceil(rows / 2**15), 0) if op.diagonal else (0, terms)
 
     for name, op in handles.items():
         for r in (None, 0, 1, 4):
@@ -148,8 +149,8 @@ def test_parallel_row_pieces_are_unvalidated_diagonal_views(monkeypatch, count_s
     inits = _diagonal_inits(monkeypatch)
     evaluations = _evaluations(monkeypatch)
     apply_fractional_inverse(op, np.ones(1000), _form(0.5, 10), parallel=True, max_workers=3)
-    # one evaluation per row range, no solve and no new handle
-    assert sorted(evaluations) == [333, 333, 334]
+    # 1000 rows are one row range below the work floor: one evaluation, no solve and no new handle
+    assert evaluations == [1000]
     assert count_solves == [] and inits == []
 
 
@@ -193,7 +194,8 @@ def test_diagonal_apply_matches_per_term_solves():
 
 
 def test_parallel_coupled_vector_runs_without_a_pool(monkeypatch):
-    # a coupled handle solves any B, vector or block, as one piece on the calling thread
+    # a coupled handle solves any B, vector or block, as one piece on the calling thread,
+    # and so does a diagonal handle of at most 2**15 rows, the work floor
     monkeypatch.setattr(operator_apply, "ThreadPoolExecutor", None)
     form = _form(0.5, 10)
     for kind in ("tridiagonal", "dense", "kronecker"):
@@ -204,6 +206,25 @@ def test_parallel_coupled_vector_runs_without_a_pool(monkeypatch):
             assert np.array_equal(threaded, apply_fractional_inverse(op, b, form)), (kind, b.shape)
         threaded = apply_fractional_inverse(op, np.eye(op.dimension), form, parallel=True, max_workers=4)
         assert np.array_equal(threaded, dense_fractional_inverse(op, form)), kind
+    rng = np.random.default_rng(2)
+    for rows in (1, 1000, 2**15):
+        op = builtin_operator("diag-power", size=rows, exponent=2.0)
+        for b in (rng.standard_normal(rows), rng.standard_normal((rows, 3))):
+            threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
+            assert np.array_equal(threaded, apply_fractional_inverse(op, b, form)), (rows, b.shape)
+    # one row more is two row ranges, on one pool of two threads
+    pools = []
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(operator_apply, "ThreadPoolExecutor", pool)
+    op = builtin_operator("diag-power", size=2**15 + 1, exponent=2.0)
+    b = rng.standard_normal(op.dimension)
+    threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
+    assert pools == [2]
+    assert np.array_equal(threaded, apply_fractional_inverse(op, b, form))
 
 
 @pytest.mark.parametrize("parallel", [False, True])
@@ -390,18 +411,17 @@ def test_block_solve_matches_column_solves(kind):
 
 @pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense", "kronecker"])
 def test_handles_solve_blocks_only(kind, monkeypatch):
-    # a vector reaches the protected solve as a block of one column, from an apply and from shifted_solve;
-    # the tridiagonal and Kronecker-sum handles solve every term, a one-term solve too, in batches
+    # a vector reaches the protected solve as a block of one column, from an apply and from shifted_solve,
+    # which solves a batch of one term
     op = _handles()[kind]
     shapes = []
-    name = "_shifted_solves" if "_shifted_solves" in vars(type(op)) else "_shifted_solve"
-    solve = getattr(type(op), name)
+    solve = type(op)._shifted_solves
 
     def spy(self, sigma, tau, b):
         shapes.extend([b.shape] * np.size(sigma))  # one entry per term
         return solve(self, sigma, tau, b)
 
-    monkeypatch.setattr(type(op), name, spy)
+    monkeypatch.setattr(type(op), "_shifted_solves", spy)
     b = np.random.default_rng(6).standard_normal(op.dimension)
     form = _form(0.5, 5)
     for parallel in (False, True):
@@ -428,6 +448,31 @@ def test_spectrum_ascending(kind):
     dense = np.diag(op.eigenvalues) if kind == "diagonal" else op.to_dense()
     np.testing.assert_allclose(w, np.linalg.eigvalsh(dense), rtol=1e-12)
     assert w[0] == pytest.approx(op.lambda_min, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense", "kronecker"])
+def test_apply_checks_the_right_hand_side_once(kind, monkeypatch):
+    # the solves take the block the apply checked, not the public shifted_solve's checks per term
+    op = _handles()[kind]
+    checks = []
+    check = OperatorHandle._check_rhs
+
+    def spy(self, b):
+        checks.append(np.shape(b))
+        return check(self, b)
+
+    monkeypatch.setattr(OperatorHandle, "_check_rhs", spy)
+    for b in (np.ones(op.dimension), np.ones((op.dimension, 3))):
+        checks.clear()
+        apply_fractional_inverse(op, b, _form(0.5, 5))
+        assert checks == [b.shape], kind
+
+
+def test_kronecker_sum_refuses_a_factor_that_is_not_tridiagonal():
+    for factor in (DenseOperator(np.eye(2), 1.0), DiagonalOperator([1.0, 2.0]), np.eye(2)):
+        with pytest.raises(ValueError, match=rf"^a Kronecker sum needs a TridiagonalOperator factor, "
+                                             rf"got {type(factor).__name__}$"):
+            KroneckerSumOperator(factor)
 
 
 def test_dense_fractional_inverse_one_solve_per_node(count_solves):
@@ -497,8 +542,8 @@ def test_rejects_non_positive_spectra():
 
 def test_handle_checks_dimension_and_lambda_min():
     class Scaled(OperatorHandle):
-        def _shifted_solve(self, sigma, tau, b):
-            return b / (sigma + tau * self.lambda_min)
+        def _shifted_solves(self, sigma, tau, b):
+            return (b / (s + t * self.lambda_min) for s, t in zip(sigma, tau))
 
     form = _form(0.5, 5)
     x = apply_fractional_inverse(Scaled(3, 4.0), np.ones(3), form)
@@ -699,8 +744,9 @@ def test_shift_validation():
 
 def test_solve_failure_names_node_and_family():
     class Broken(DenseOperator):  # a diagonal apply makes no solve that could fail
-        def _shifted_solve(self, sigma, tau, v):
+        def _shifted_solves(self, sigma, tau, b):
             raise np.linalg.LinAlgError("synthetic breakdown")
+            yield  # a generator: the error comes when the first solution is due
 
     op = Broken(np.diag([1.0, 2.0]), lambda_min=1.0)
     with pytest.raises(RuntimeError, match=r"shifted solve failed \(family 1, node 1\)"):
