@@ -751,3 +751,13 @@ def test_solve_failure_names_node_and_family():
     op = Broken(np.diag([1.0, 2.0]), lambda_min=1.0)
     with pytest.raises(RuntimeError, match=r"shifted solve failed \(family 1, node 1\)"):
         apply_fractional_inverse(op, np.ones(2), _form(0.5, 3))
+
+
+def test_solve_failure_before_the_first_yield_is_named():
+    class Eager(OperatorHandle):  # a plain function, not a generator: it raises when called
+        def _shifted_solves(self, sigma, tau, b):
+            raise np.linalg.LinAlgError("eager breakdown")
+
+    with pytest.raises(RuntimeError, match=r"^shifted solve failed \(family 1, node 1\): eager breakdown$") as info:
+        apply_fractional_inverse(Eager(2, 1.0), np.ones(2), _form(0.5, 3))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)

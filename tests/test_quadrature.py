@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,8 +57,8 @@ def test_matches_independent_constructor():
 
 
 def test_weights_strictly_positive_at_small_orders():
-    # from n = 27 on, a trailing weight underflows float64 to an exact
-    # zero; below that every weight is representable and must be positive
+    # MRRR returns a trailing weight of exactly zero from n = 27 on (index 25
+    # of 27, true value 9.2e-35); below that every weight must be positive
     for n in range(1, 27):
         assert np.all(gauss_laguerre(n).weights > 0.0)
 
@@ -128,7 +129,7 @@ def test_rule_is_built_once_per_order():
 @pytest.mark.parametrize("n", [1, 2, 73, N_MAX])
 def test_cached_rule_is_a_read_only_eigensolve(n):
     r = gauss_laguerre(n)
-    x, v = eigh_tridiagonal(2.0 * np.arange(n) + 1.0, np.arange(1.0, n))
+    x, v = eigh_tridiagonal(2.0 * np.arange(n) + 1.0, np.arange(1.0, n), lapack_driver="stemr")
     assert r.nodes.tobytes() == x.tobytes()
     assert r.weights.tobytes() == (v[0, :] ** 2).tobytes()
     with pytest.raises(ValueError, match="read-only"):
@@ -137,12 +138,25 @@ def test_cached_rule_is_a_read_only_eigensolve(n):
         r.weights[0] = 1.0
 
 
+def test_largest_rule_needs_no_workspace_beyond_its_eigenvectors():
+    # MRRR's peak is the N_MAX x N_MAX eigenvector matrix (32.4 MiB);
+    # divide and conquer adds a workspace of the same size (64.1 MiB)
+    glfrac.quadrature._build_rule.__wrapped__(2)  # scipy.linalg is imported before the trace
+    tracemalloc.start()
+    try:
+        glfrac.quadrature._build_rule.__wrapped__(N_MAX)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * N_MAX**2 * 8
+
+
 def test_build_rational_solves_each_order_once(monkeypatch):
     calls = []
 
-    def counting(d, e):
+    def counting(d, e, **kwargs):
         calls.append(len(d))
-        return eigh_tridiagonal(d, e)
+        return eigh_tridiagonal(d, e, **kwargs)
 
     monkeypatch.setattr(glfrac.quadrature, "eigh_tridiagonal", counting)
     glfrac.quadrature._build_rule.cache_clear()

@@ -1,0 +1,62 @@
+"""Gauss-Laguerre rules against a 40-digit mpmath reference.
+
+The reference nodes are the roots of L_n, polished by Newton's method at 40
+digits from scipy's eigenvalues, and the weights are w = x / (n**2 L_{n-1}(x)**2).
+L_n and L_{n-1} come from the three-term recurrence.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+from scipy.linalg import eigvalsh_tridiagonal
+
+from glfrac import gauss_laguerre, tail_weight_sum
+
+mp = mpmath.MPContext()  # a private context: the global mpmath precision stays as it is
+mp.dps = 40
+
+
+def _laguerre_pair(n, x):
+    """L_n(x) and L_{n-1}(x), by (k + 1) L_{k+1} = (2k + 1 - x) L_k - k L_{k-1}."""
+    prev, cur = mp.mpf(1), 1 - x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+    return cur, prev
+
+
+def _reference(n, indices):
+    """Yield the 40-digit node and weight of the order-n rule at each index."""
+    guesses = eigvalsh_tridiagonal(2.0 * np.arange(n) + 1.0, np.arange(1.0, n))
+    for i in indices:
+        x = mp.mpf(float(guesses[i]))
+        for _ in range(8):
+            ln, lm = _laguerre_pair(n, x)
+            step = ln * x / (n * (ln - lm))  # L_n / L_n', as x L_n' = n (L_n - L_{n-1})
+            x -= step
+            if abs(step) < x * mp.mpf("1e-30"):  # rounding in the recurrence keeps it above 1e-38 at n = 1024
+                break
+        else:
+            raise AssertionError(f"Newton did not converge at n={n}, index {i}")
+        yield x, x / (n * n * lm * lm)
+
+
+@pytest.mark.parametrize("n", [27, 100, 1024])
+def test_nodes_and_weights_match_mpmath(n):
+    rule = gauss_laguerre(n)
+    indices = sorted({int(i) for i in np.linspace(0, n - 1, 9)})
+    for i, (x, w) in zip(indices, _reference(n, indices)):
+        assert abs(rule.nodes[i] - x) <= 1e-10 * x, (n, i)
+        if w >= 1e-13:
+            assert abs(rule.weights[i] - w) <= 1e-10 * w, (n, i)
+
+
+@pytest.mark.parametrize(("n", "k"), [(100, 55), (1024, 186)])
+def test_tail_weight_sum_matches_mpmath(n, k):
+    # the tails are about 8e-36 and 3e-37; divide and conquer's eigenvectors
+    # put 4.9e-33 of rounding noise into the second, MRRR's 1.1e-37
+    tail = mp.mpf(0)
+    for _, w in _reference(n, range(k, n)):  # weights decay geometrically here: stop far below the tolerance
+        tail += w
+        if w < 1e-45:
+            break
+    assert abs(tail_weight_sum(gauss_laguerre(n), k) - tail) <= 1e-33
