@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.special import roots_laguerre
 
 import glfrac.quadrature
@@ -57,10 +57,10 @@ def test_matches_independent_constructor():
 
 
 def test_weights_strictly_positive_at_small_orders():
-    # MRRR returns a trailing weight of exactly zero from n = 27 on (index 25
-    # of 27, true value 9.2e-35); below that every weight must be positive
-    for n in range(1, 27):
-        assert np.all(gauss_laguerre(n).weights > 0.0)
+    # a weight is zero only below the double range: the last weight of order
+    # 196 is the first, and every weight of a smaller order must be positive
+    for n in [*range(1, 71), 100, 150, 195]:
+        assert np.all(gauss_laguerre(n).weights > 0.0), n
 
 
 def test_nodes_ascending_and_positive():
@@ -129,18 +129,19 @@ def test_rule_is_built_once_per_order():
 @pytest.mark.parametrize("n", [1, 2, 73, N_MAX])
 def test_cached_rule_is_a_read_only_eigensolve(n):
     r = gauss_laguerre(n)
-    x, v = eigh_tridiagonal(2.0 * np.arange(n) + 1.0, np.arange(1.0, n), lapack_driver="stemr")
-    assert r.nodes.tobytes() == x.tobytes()
-    assert r.weights.tobytes() == (v[0, :] ** 2).tobytes()
+    d, e = 2.0 * np.arange(n) + 1.0, np.arange(1.0, n)
+    lead = min(n, 64)
+    _, v = eigh_tridiagonal(d, e, select="i", select_range=(0, lead - 1), lapack_driver="stebz")
+    assert r.nodes.tobytes() == eigvalsh_tridiagonal(d, e).tobytes()
+    assert r.weights[:lead].tobytes() == (v[0, :] ** 2).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         r.nodes[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         r.weights[0] = 1.0
 
 
-def test_largest_rule_needs_no_workspace_beyond_its_eigenvectors():
-    # MRRR's peak is the N_MAX x N_MAX eigenvector matrix (32.4 MiB);
-    # divide and conquer adds a workspace of the same size (64.1 MiB)
+def test_largest_rule_needs_no_square_workspace():
+    # an N_MAX x N_MAX array alone is 32 MiB; the build traces about 2.1 MiB
     glfrac.quadrature._build_rule.__wrapped__(2)  # scipy.linalg is imported before the trace
     tracemalloc.start()
     try:
@@ -148,17 +149,28 @@ def test_largest_rule_needs_no_workspace_beyond_its_eigenvectors():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * N_MAX**2 * 8
+    assert peak <= 4 * 2**20
+
+
+def test_weights_sum_to_one_on_both_sides_of_the_seam():
+    # orders up to 64 take every weight from eigenvectors; above, all but the first 64 are Christoffel weights
+    for n in [*range(1, 71), *range(97, N_MAX + 1, 97), N_MAX - 1, N_MAX]:
+        rule = glfrac.quadrature._build_rule.__wrapped__(n)
+        assert abs(float(rule.weights.sum()) - 1.0) <= 1e-14, n
 
 
 def test_build_rational_solves_each_order_once(monkeypatch):
     calls = []
 
-    def counting(d, e, **kwargs):
-        calls.append(len(d))
-        return eigh_tridiagonal(d, e, **kwargs)
+    def counting(name, solve):
+        def call(d, e, **kwargs):
+            calls.append((name, len(d)))
+            return solve(d, e, **kwargs)
 
-    monkeypatch.setattr(glfrac.quadrature, "eigh_tridiagonal", counting)
+        return call
+
+    monkeypatch.setattr(glfrac.quadrature, "eigh_tridiagonal", counting("vectors", eigh_tridiagonal))
+    monkeypatch.setattr(glfrac.quadrature, "eigvalsh_tridiagonal", counting("values", eigvalsh_tridiagonal))
     glfrac.quadrature._build_rule.cache_clear()
     cases = [(0.5, plan_balanced(40, 0.5)), (0.5, plan_equalized(40, 0.5)), (0.75, plan_equalized(30, 0.75))]
     orders = {n for _, p in cases for n in (p.n1, p.n2)}
@@ -166,4 +178,4 @@ def test_build_rational_solves_each_order_once(monkeypatch):
     for _ in range(3):
         for alpha, p in cases:
             build_rational(alpha, p)
-    assert sorted(calls) == sorted(orders)
+    assert sorted(calls) == sorted((name, n) for name in ("values", "vectors") for n in orders)
