@@ -38,8 +38,8 @@ from workloads import FigureSweep  # noqa: E402
 # fifth materialize dense inverses on the tridiagonal and Kronecker-sum
 # handles, and the sixth on fd2d:20, whose 400-row reference eigensolve meets
 # the Kronecker sum's double eigenvalues mu_a + mu_b (a != b). The last two
-# solve 90 terms in batches: 32 terms to a batch on fd1d:1000 and 81 on
-# fd2d:20, so their sums cross batch boundaries.
+# solve 90 terms: one ptsv call per term on fd1d:1000, and batches of 81 terms
+# on fd2d:20, so that sum crosses a batch boundary.
 EXTRA_COMMANDS = (
     ("matrix-error", "--alpha", "0.5", "--nmax", "200", "--op", "diagpow:100:8"),
     ("compare", "--alpha", "0.5", "--spectrum", "fd1d:15", "--solves", "11,21"),

@@ -2,7 +2,7 @@
 
 Each retained node turns into one shifted solve (sigma I + tau L) X = B
 with sigma, tau >= 0, for a vector or a block B, so any operator that can
-solve batches of them plugs in through OperatorHandle. On a diagonal handle
+solve them in term order plugs in through OperatorHandle. On a diagonal handle
 each such solve is one division per row, so an apply there evaluates the
 form on the spectrum instead, with eval_scalar, and scales the rows of B.
 The form is applied to L / lambda_min, whose spectrum starts at 1, and the
@@ -53,7 +53,7 @@ DENSE_DIM_CAP = 2000
 
 # The one cache budget of an apply: the most rows in a diagonal apply's piece, so the
 # most a parallel one runs without a pool, and the most right-hand-side entries in a
-# batch of shifted solves. Chosen by paired timings of 2**13, 2**14 and 2**15: a
+# Kronecker-sum batch. Chosen by paired timings of 2**13, 2**14 and 2**15: a
 # piece's few temporaries then fit in a 2 MB L2 cache.
 _BLOCK_ROWS = 2**15
 
@@ -72,7 +72,11 @@ def _check_dense_dim(dim: int):
 
 
 def _batch_terms(b: np.ndarray) -> int:
-    """Terms per batch against b: _BLOCK_ROWS // b.size, or 1 below 3 (two fd1d:128 identities in one ptsv: +9%)."""
+    """Terms per Kronecker-sum batch against b: _BLOCK_ROWS // b.size, or 1 below 3.
+
+    Two-term batches of a 20-term form were slower than one-term ones: an fd2d:11
+    identity by 7%, 150 columns on fd2d:9 by 22% and an fd2d:120 vector by 10%.
+    """
     return k if (k := _BLOCK_ROWS // max(b.size, 1)) > 2 else 1
 
 
@@ -90,8 +94,9 @@ class OperatorHandle(ABC):
 
     A concrete handle implements one protected generator, _shifted_solves,
     which yields X of (sigma[j] I + tau[j] L) X = B for each j of checked
-    1-D shift arrays against a checked block B (dim, r), sharing work between
-    terms where it can. Columns are solved independently: a solve of some of
+    1-D shift arrays against a checked block B (dim, r): the dense and
+    tridiagonal handles make one solve per term, and the Kronecker sum shares
+    work between terms. Columns are solved independently: a solve of some of
     the columns gives the same bits as those columns of a whole-block solve.
     The public shifted_solve checks the shifts and B, and solves a vector
     (dim,) as a block of one column in a batch of one term. An apply takes
@@ -160,8 +165,7 @@ class DiagonalOperator(OperatorHandle):
 class TridiagonalOperator(OperatorHandle):
     """Symmetric tridiagonal operator; solves call LAPACK ptsv (an L D L^T factorization).
 
-    A batch of k terms is one ptsv call on their k systems as one block-diagonal
-    system: O(k m r) as k calls would be, for one call's Python overhead. The
+    Each term is one ptsv call, O(m r), plus a few microseconds of Python. The
     smallest eigenvalue is computed once at construction. A lambda_min known in
     closed form may be passed instead: the handle's rule checks it first, and it
     is kept if it exceeds the computed one by at most 4 eps ||T||_1.
@@ -191,28 +195,18 @@ class TridiagonalOperator(OperatorHandle):
         return eigvalsh_tridiagonal(self.diag, self.off)
 
     def _shifted_solves(self, sigma, tau, b):
-        m, r = b.shape
-        step = _batch_terms(b) if m > 1 else 1
-        for start in range(0, sigma.size, step):
-            s, t = sigma[start:start + step, None], tau[start:start + step, None]
-            k = len(s)
+        for s, t in zip(sigma.tolist(), tau.tolist()):
             d = t * self.diag
             d += s
-            if m == 1:
+            if self.dimension == 1:
                 # ptsv refuses an empty off-diagonal; a 1 x 1 system is one quotient
-                x, info = b / d, 0 if d[0, 0] > 0.0 else 1
+                x, info = b / d, 0 if d[0] > 0.0 else 1
             else:
-                # exact zeros between the blocks keep ptsv's recurrence in each as in a call of its own
-                e = np.zeros((k, m))
-                np.multiply(t, self.off, out=e[:, :-1])
-                _, _, x, info = dptsv(d.ravel(), e.ravel()[:-1], np.tile(b.T, k).T if k > 1 else b,
-                                      overwrite_d=True, overwrite_e=True, overwrite_b=k > 1)  # b is left as it is
+                _, _, x, info = dptsv(d, t * self.off, b, overwrite_d=True, overwrite_e=True)  # b is left as it is
             if info > 0:
-                j, minor = divmod(info - 1, m)
-                yield from self._shifted_solves(sigma[start:start + j], tau[start:start + j], b)
-                raise NotPositiveDefiniteError(f"operator not positive definite: sigma={float(s[j, 0])!r}, tau="
-                                               f"{float(t[j, 0])!r}: {minor + 1}th leading minor not positive definite")
-            yield from x.reshape(k, m, r)
+                raise NotPositiveDefiniteError(f"operator not positive definite: sigma={s!r}, tau={t!r}: "
+                                               f"leading minor of order {info} not positive definite")
+            yield x
 
     def to_dense(self) -> np.ndarray:
         _check_dense_dim(self.dimension)
@@ -363,8 +357,8 @@ def apply_fractional_inverse(
     (dim, r). A node's solve against L / lambda_min is the solve
     (sigma I + (tau / lambda_min) L) X = B. A handle that is not diagonal
     yields all k1 + k2 solutions for the whole block from one call of its
-    _shifted_solves, in batches where it shares work, on the calling thread
-    whatever parallel says, and they are added up in the order of form.terms().
+    _shifted_solves, on the calling thread whatever parallel says, and they
+    are added up in the order of form.terms().
 
     A diagonal handle makes no solve: row i of the result is row i of B times
     lambda_min**(-alpha) * eval_scalar(form, eigenvalues[i] / lambda_min), one
