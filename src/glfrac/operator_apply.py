@@ -74,8 +74,8 @@ def _check_dense_dim(dim: int):
 def _batch_terms(b: np.ndarray) -> int:
     """Terms per Kronecker-sum batch against b: _BLOCK_ROWS // b.size, or 1 below 3.
 
-    Two-term batches of a 20-term form were slower than one-term ones: an fd2d:11
-    identity by 7%, 150 columns on fd2d:9 by 22% and an fd2d:120 vector by 10%.
+    Two-term batches of a 20-term form were slower than one-term ones on a 2-vCPU host: an
+    fd2d:11 identity by 7%, 150 columns on fd2d:9 by 22% and an fd2d:120 vector by 10%.
     """
     return k if (k := _BLOCK_ROWS // max(b.size, 1)) > 2 else 1
 
