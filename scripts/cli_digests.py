@@ -34,12 +34,12 @@ from workloads import FigureSweep  # noqa: E402
 # 280 terms; the first command adds 100 eigenvalues at up to 400 terms. The
 # second reaches compare's clip at 1: fd1d:15's computed smallest eigenvalue
 # sits below its closed-form lambda_min. The third solves 1 x 1 tridiagonal
-# systems, which are one quotient each, not a factorization. The fourth and
-# fifth materialize dense inverses on the tridiagonal and Kronecker-sum
-# handles, and the sixth on fd2d:20, whose 400-row reference eigensolve meets
-# the Kronecker sum's double eigenvalues mu_a + mu_b (a != b). The last two
-# solve 90 terms: one ptsv call per term on fd1d:1000, and batches of 81 terms
-# on fd2d:20, so that sum crosses a batch boundary.
+# systems, which are one quotient each, not a factorization. The fourth to
+# seventh measure errors on the spectra of the tridiagonal and Kronecker-sum
+# handles: fd2d:20's holds the double eigenvalues mu_a + mu_b (a != b), and
+# fd1d:2001 lies past DENSE_DIM_CAP, which matrix-error does not meet. The
+# last two solve 90 terms: one ptsv call per term on fd1d:1000, and batches of
+# 81 terms on fd2d:20, so that sum crosses a batch boundary.
 EXTRA_COMMANDS = (
     ("matrix-error", "--alpha", "0.5", "--nmax", "200", "--op", "diagpow:100:8"),
     ("compare", "--alpha", "0.5", "--spectrum", "fd1d:15", "--solves", "11,21"),
@@ -47,6 +47,7 @@ EXTRA_COMMANDS = (
     ("matrix-error", "--alpha", "0.5", "--nmax", "4", "--op", "fd1d:12"),
     ("matrix-error", "--alpha", "0.5", "--nmax", "2", "--op", "fd2d:3"),
     ("matrix-error", "--alpha", "0.5", "--nmax", "3", "--op", "fd2d:20"),
+    ("matrix-error", "--alpha", "0.5", "--nmax", "3", "--op", "fd1d:2001"),
     *(("apply", "--op", op, "--alpha", "0.5", "--n", "45", "--variant", "full", "--seed", "5")
       for op in ("fd1d:1000", "fd2d:20")),
 )

@@ -34,13 +34,7 @@ from .scalar_core import (
     plan_full,
     select_n,
 )
-from .operator_apply import (
-    DenseOperator,
-    DiagonalOperator,
-    apply_fractional_inverse,
-    builtin_operator,
-    dense_fractional_inverse,
-)
+from .operator_apply import DenseOperator, DiagonalOperator, apply_fractional_inverse, builtin_operator
 from .oracle_baselines import oracle_diag_norm_error, oracle_scalar_power, sinc_baseline_error
 
 __all__ = ["main", "parse_operator"]
@@ -165,33 +159,30 @@ def _cmd_scalar_error(args):
     return 0
 
 
-def _unit_spectrum(op) -> np.ndarray:
-    """op's spectrum over lambda_min, clipped at 1: a computed eigenvalue may sit below a closed-form lambda_min."""
-    return np.maximum(op.spectrum() / op.lambda_min, 1.0)
+def _spectral_error(op, alpha: float):
+    """err(scalar_error, *args) = lambda_min**-alpha * scalar_error(unit, *args), unit = op's spectrum / lambda_min.
+
+    For a self-adjoint L, ||L**(-alpha) - R(L)||_2 is the worst scalar error
+    over the spectrum, so err(oracle_diag_norm_error, form) is that norm on
+    any handle, with nothing assembled. unit is clipped at 1: a computed
+    eigenvalue may sit below a closed-form lambda_min.
+    """
+    post = op.lambda_min ** (-alpha)
+    unit = np.maximum(op.spectrum() / op.lambda_min, 1.0)
+    return lambda scalar_error, *args: post * scalar_error(unit, *args)
 
 
 def _cmd_matrix_error(args):
     nmax = check_order(args.nmax)
     op = parse_operator(args.op)
+    err = _spectral_error(op, args.alpha)
     post = op.lambda_min ** (-args.alpha)
-    if op.diagonal:
-        scaled_eigs = _unit_spectrum(op)
-
-        def error(form):
-            return post * oracle_diag_norm_error(scaled_eigs, form)
-    else:
-        # LAPACK dsyevd (divide and conquer): fd2d spectra have double eigenvalues, where MRRR (dsyevr) is slow
-        w, v = np.linalg.eigh(op.to_dense())
-        exact_power = (v * w ** (-args.alpha)) @ v.T
-
-        def error(form):
-            approx = dense_fractional_inverse(op, form)
-            return float(np.linalg.norm(exact_power - approx, 2))
     rows = []
     for n in range(1, nmax + 1):
         plan = _plan_for(args.variant, n, args.alpha)
+        form = build_rational(args.alpha, plan)
         est = post * estimate_operator_error(n, args.alpha).value
-        rows.append((n, plan.predicted_inversions, error(build_rational(args.alpha, plan)), est))
+        rows.append((n, plan.predicted_inversions, err(oracle_diag_norm_error, form), est))
     _emit("n,inversions,error,estimate", rows, args.out)
     return 0
 
@@ -223,8 +214,7 @@ def _cmd_compare(args):
     budgets = sorted({_number(tok, int, f"--solves {args.solves}") for tok in args.solves.split(",") if tok.strip()})
     if not budgets:
         raise ValueError("no solve budgets given")
-    post = op.lambda_min ** (-args.alpha)
-    scaled = _unit_spectrum(op)
+    err = _spectral_error(op, args.alpha)
     rows = []
     for budget in budgets:
         for variant in ("balanced", "equalized"):
@@ -232,10 +222,8 @@ def _cmd_compare(args):
             if n is not None:
                 plan = _plan_for(variant, n, args.alpha)
                 form = build_rational(args.alpha, plan)
-                err = post * oracle_diag_norm_error(scaled, form)
-                rows.append((variant, plan.predicted_inversions, err))
-        err = post * sinc_baseline_error(scaled, args.alpha, budget)
-        rows.append(("sinc", budget, err))
+                rows.append((variant, plan.predicted_inversions, err(oracle_diag_norm_error, form)))
+        rows.append(("sinc", budget, err(sinc_baseline_error, args.alpha, budget)))
     rows.sort(key=lambda r: (r[0], r[1]))
     _emit("method,solves,error", [(m, s, e) for m, s, e in rows], args.out)
     return 0

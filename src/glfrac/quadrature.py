@@ -8,13 +8,15 @@ precision.
 
 A weight is the squared first component of its eigenvector, but no n x n
 eigenvector matrix is formed. The nodes are one eigenvalue-only solve. The
-first min(n, 64) weights come from those eigenvectors alone, by bisection
-and inverse iteration (LAPACK dstebz and dstein: an n x 64 block). Every
+leading weights come from those eigenvectors alone, by bisection and
+inverse iteration (LAPACK dstebz and dstein: an n x 64 block): at most 64,
+and only those of at least 1e-10, since a component v is right to about eps
+in absolute terms and v**2 so only to about 2 eps / |v| relative. Every
 other weight is a Christoffel weight, w = 1 / sum_{k<n} L_k(x)**2
 (Gautschi, Orthogonal Polynomials, 2004), with the L_k orthonormal for
 exp(-x). A 2048-point build traces 2.1 MiB, where MRRR's eigenvector matrix
-took 32.4 MiB. The recurrence keeps tiny trailing weights right in relative
-terms: sampled tail sums down to 4e-43 lie within 5.8e-14 relative of
+took 32.4 MiB. The recurrence keeps tiny weights and tail sums right in
+relative terms: sampled tail sums down to 4e-43 lie within 5.8e-14 relative of
 their 40-digit values. A weight is zero only where the true value is below the double
 range. The leading weights, which decide the sum, stay on eigenvectors: on
 their own, Christoffel weights miss a sum of one by up to 3.4e-13.
@@ -43,16 +45,22 @@ N_MAX = 2048
 _INTEGER_TYPES = (int, np.integer)  # is_int_in's integer types; it refuses bool, a subclass of int
 _REAL_TYPES = (int, float, np.integer, np.floating)  # is_real's types; it refuses bool too
 _FLOAT_MAX = float(np.finfo(float).max)
-_LEAD = 64  # weights from eigenvectors; _christoffel_weights gives the rest
+_LEAD = 64  # at most this many weights from eigenvectors; _christoffel_weights gives the rest
+_LEAD_FLOOR = 1e-10  # an eigenvector weight v**2 is right to about 2 eps / |v| relative: kept only at or above this
 _BIG_EXPONENT = 500
 _BIG = 2.0**_BIG_EXPONENT  # _christoffel_weights rescales a node past this
 _NOT_REAL_KINDS = {"b": "bool", "c": "complex", "S": "bytes", "U": "str", "O": "object"}  # named in _real's refusal
 
 
 def _lazy(module: str, name: str):
-    """A stand-in for `from module import name`: each call looks name up in module, imported on first use (~1 us)."""
+    """A stand-in for `from module import name`: the first call imports module and keeps name for every later call."""
+    func = None
+
     def call(*args, **kwargs):
-        return getattr(importlib.import_module(module), name)(*args, **kwargs)
+        nonlocal func
+        if func is None:
+            func = getattr(importlib.import_module(module), name)
+        return func(*args, **kwargs)
     return call
 
 
@@ -155,15 +163,16 @@ def gauss_laguerre(n: int) -> QuadratureRule:
     Returns
     -------
     QuadratureRule
-        Nodes ascending; weights are the squared first components of the
-        orthonormal eigenvectors (the zeroth moment of exp(-x) is one).
+        Nodes ascending; weights from eigenvectors and the Christoffel
+        function (module docstring), summing to the zeroth moment of exp(-x), one.
     """
     return _build_rule(check_order(n))
 
 
 @cache
 def _build_rule(n: int) -> QuadratureRule:
-    """Golub-Welsch rule of order n with no n x n array: leading weights from eigenvectors, the rest Christoffel.
+    """Golub-Welsch rule of order n with no n x n array: up to _LEAD leading weights of at least _LEAD_FLOOR from
+    eigenvectors, the rest Christoffel.
 
     A weight is zero only where the true value is below the double range
     (module docstring).
@@ -176,8 +185,9 @@ def _build_rule(n: int) -> QuadratureRule:
     _, v = eigh_tridiagonal(d, e, select="i", select_range=(0, lead - 1), lapack_driver="stebz")
     w = np.empty(n)
     w[:lead] = v[0, :] ** 2
-    if n > lead:
-        w[lead:] = _christoffel_weights(n, x[lead:])
+    k = int(np.count_nonzero(w[:lead] >= _LEAD_FLOOR))  # below 1e-3 the weights only fall
+    if n > k:
+        w[k:] = _christoffel_weights(n, x[k:])
     return QuadratureRule(n, x, w)
 
 

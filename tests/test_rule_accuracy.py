@@ -41,9 +41,10 @@ def _reference(n, indices):
         yield x, x / (n * n * lm * lm)
 
 
-@pytest.mark.parametrize("n", [27, 100, 1024])
+@pytest.mark.parametrize("n", [27, 64, 100, 287, 1024])
 def test_nodes_and_weights_match_mpmath(n):
-    # 63 and 64 straddle the seam between eigenvector and Christoffel weights
+    # 63 and 64 straddle the last eigenvector weight an order can keep; as squared eigenvector components,
+    # weights (64, 63) = 2.1e-101 and (287, 63) = 5.5e-16 were off by a factor of 1.5e7 and by 5.7e-9 relative
     rule = gauss_laguerre(n)
     indices = sorted({int(i) for i in np.linspace(0, n - 1, 9)} | ({63, 64} if n > 64 else set()))
     for i, (x, w) in zip(indices, _reference(n, indices)):
@@ -52,10 +53,10 @@ def test_nodes_and_weights_match_mpmath(n):
             assert abs(rule.weights[i] - w) <= 1e-10 * w, (n, i)
 
 
-@pytest.mark.parametrize(("n", "k"), [(27, 25), (100, 55), (100, 60), (1024, 186)])
+@pytest.mark.parametrize(("n", "k"), [(27, 25), (64, 62), (100, 55), (100, 60), (1024, 186)])
 def test_tail_weight_sum_matches_mpmath(n, k):
-    # the tails are about 9e-35, 8e-36, 4e-43 and 3e-37; MRRR's eigenvectors
-    # returned the first and third as 0 and 3e-162
+    # the tails are about 9e-35, 3e-94, 8e-36, 4e-43 and 3e-37; MRRR's eigenvectors
+    # returned the first and fourth as 0 and 3e-162, and eigenvector weights put the second 1.2e-4 off
     tail = mp.mpf(0)
     for _, w in _reference(n, range(k, n)):  # weights decay geometrically here: stop far below the tolerance
         tail += w
