@@ -38,8 +38,9 @@ from workloads import FigureSweep  # noqa: E402
 # seventh measure errors on the spectra of the tridiagonal and Kronecker-sum
 # handles: fd2d:20's holds the double eigenvalues mu_a + mu_b (a != b), and
 # fd1d:2001 lies past DENSE_DIM_CAP, which matrix-error does not meet. The
-# last two solve 90 terms: one ptsv call per term on fd1d:1000, and batches of
-# 81 terms on fd2d:20, so that sum crosses a batch boundary.
+# last two apply 90 terms: one ptsv call per term on fd1d:1000, and on fd2d:20
+# one evaluation of the form on the Kronecker sum's eigenvalues, between one
+# map into its eigenbasis and one back.
 EXTRA_COMMANDS = (
     ("matrix-error", "--alpha", "0.5", "--nmax", "200", "--op", "diagpow:100:8"),
     ("compare", "--alpha", "0.5", "--spectrum", "fd1d:15", "--solves", "11,21"),
@@ -55,11 +56,13 @@ EXTRA_COMMANDS = (
 # Commands whose output must not depend on --parallel. A diagonal handle cuts
 # its rows into ceil(rows / 2**15) ranges either way: diagpow:20000:2 is one
 # range, which runs on the calling thread, and diagpow:70000:2 is three, which
-# run on a pool. fd1d and fd2d solve the right-hand side as one piece on the
-# calling thread.
+# run on a pool. The Kronecker sum does the same in its eigenbasis: fd2d:20 is
+# one range, and fd2d:182 (33124 rows) two, on a pool. fd1d solves the
+# right-hand side as one piece on the calling thread.
 THREADED_COMMANDS = tuple(
     ("apply", "--op", op, "--alpha", alpha, "--n", "40", "--variant", variant, "--seed", "5")
-    for op, alpha, variant in itertools.product(("diagpow:20000:2", "diagpow:70000:2", "fd1d:300", "fd2d:20"),
+    for op, alpha, variant in itertools.product(("diagpow:20000:2", "diagpow:70000:2", "fd1d:300", "fd2d:20",
+                                                 "fd2d:182"),
                                                 ("0.25", "0.75"), ("balanced", "equalized")))
 
 

@@ -2,9 +2,10 @@
 
 Each retained node turns into one shifted solve (sigma I + tau L) X = B
 with sigma, tau >= 0, for a vector or a block B, so any operator that can
-solve them in term order plugs in through OperatorHandle. On a diagonal handle
-each such solve is one division per row, so an apply there evaluates the
-form on the spectrum instead, with eval_scalar, and scales the rows of B.
+solve them in term order plugs in through OperatorHandle. On a handle that is
+diagonal in a basis of its own (the Kronecker sum in its eigenbasis) each such
+solve is one division per row, so an apply there evaluates the form on the
+eigenvalues instead, with eval_scalar, and scales the rows of B.
 The form is applied to L / lambda_min, whose spectrum starts at 1, and the
 result is multiplied back by lambda_min**(-alpha), which keeps the scalar
 error estimates valid verbatim.
@@ -51,10 +52,9 @@ __all__ = [
 # the diagonal, tridiagonal and Kronecker-sum handles are not capped.
 DENSE_DIM_CAP = 2000
 
-# The one cache budget of an apply: the most rows in a diagonal apply's piece, so the
-# most a parallel one runs without a pool, and the most right-hand-side entries in a
-# Kronecker-sum batch. Chosen by paired timings of 2**13, 2**14 and 2**15: a
-# piece's few temporaries then fit in a 2 MB L2 cache.
+# The most rows in a diagonal apply's piece, so the most a parallel one runs without a
+# pool. Chosen by paired timings of 2**13, 2**14 and 2**15: a piece's few
+# temporaries then fit in a 2 MB L2 cache.
 _BLOCK_ROWS = 2**15
 
 
@@ -71,15 +71,6 @@ def _check_dense_dim(dim: int):
         raise ValueError(f"dimension too large for dense assembly: {dim} > {DENSE_DIM_CAP}")
 
 
-def _batch_terms(b: np.ndarray) -> int:
-    """Terms per Kronecker-sum batch against b: _BLOCK_ROWS // b.size, or 1 below 3.
-
-    Two-term batches of a 20-term form were slower than one-term ones on a 2-vCPU host: an
-    fd2d:11 identity by 7%, 150 columns on fd2d:9 by 22% and an fd2d:120 vector by 10%.
-    """
-    return k if (k := _BLOCK_ROWS // max(b.size, 1)) > 2 else 1
-
-
 def _check_finite(name: str, a: np.ndarray):
     """Refuse NaN and inf in a, naming how many there are and where the first one is."""
     bad = ~np.isfinite(a)
@@ -94,16 +85,17 @@ class OperatorHandle(ABC):
 
     A concrete handle implements one protected generator, _shifted_solves,
     which yields X of (sigma[j] I + tau[j] L) X = B for each j of checked
-    1-D shift arrays against a checked block B (dim, r): the dense and
-    tridiagonal handles make one solve per term, and the Kronecker sum shares
-    work between terms. Columns are solved independently: a solve of some of
-    the columns gives the same bits as those columns of a whole-block solve.
-    The public shifted_solve checks the shifts and B, and solves a vector
-    (dim,) as a block of one column in a batch of one term. An apply takes
-    all its solutions from one call of _shifted_solves. The class attribute
-    diagonal is True for a handle that is diag(self.eigenvalues) in row
-    order; an apply then makes no solve, and evaluates the form on those
-    values over lambda_min instead.
+    1-D shift arrays against a checked block B (dim, r), one solve per term,
+    in the handle's orthonormal basis V: _to_basis(B) is V^T B and
+    _from_basis(X) is V X, both the identity by default. Columns are solved
+    independently: a solve of some of the columns gives the same bits as
+    those columns of a whole-block solve. The public shifted_solve checks the
+    shifts and B, and solves a vector (dim,) as a block of one column in a
+    batch of one term. It and an apply each map B into the basis once and
+    back once, and an apply takes all its solutions from one call of
+    _shifted_solves. The class attribute diagonal is True for a handle that
+    is diag(self.eigenvalues) in its basis; an apply then makes no solve, and
+    evaluates the form on those values over lambda_min instead.
     """
 
     diagonal = False
@@ -126,6 +118,12 @@ class OperatorHandle(ABC):
         """Return the eigenvalues of L in ascending order."""
         raise ValueError("operator has no dense spectrum access")
 
+    def _to_basis(self, b: np.ndarray) -> np.ndarray:
+        return b
+
+    def _from_basis(self, x: np.ndarray) -> np.ndarray:
+        return x
+
     @abstractmethod
     def _shifted_solves(self, sigma: np.ndarray, tau: np.ndarray, b: np.ndarray):
         """Yield X of (sigma[j] I + tau[j] L) X = B for each j of the checked shifts; a failing j raises when due."""
@@ -136,8 +134,9 @@ class OperatorHandle(ABC):
             raise ValueError(f"shift coefficients must be finite, nonnegative and not both zero: "
                              f"sigma={sigma!r}, tau={tau!r}")
         b = self._check_rhs(b)
-        block = b.reshape(self.dimension, -1)
-        return next(self._shifted_solves(np.array([float(sigma)]), np.array([float(tau)]), block)).reshape(b.shape)
+        block = self._to_basis(b.reshape(self.dimension, -1))
+        x = next(self._shifted_solves(np.array([float(sigma)]), np.array([float(tau)]), block))
+        return self._from_basis(x).reshape(b.shape)
 
 
 class DiagonalOperator(OperatorHandle):
@@ -260,43 +259,42 @@ class DenseOperator(OperatorHandle):
         return self.matrix.copy()
 
 
-class KroneckerSumOperator(OperatorHandle):
-    """L = T (x) I + I (x) T for a symmetric tridiagonal T of order m.
+class KroneckerSumOperator(DiagonalOperator):
+    """L = T (x) I + I (x) T for a symmetric tridiagonal T of order m: diagonal in the basis Q (x) Q.
 
-    Solves use fast diagonalization (Lynch, Rice & Thomas, 1964): with
-    T = Q diag(mu) Q^T, a column x read as the m x m matrix X (row-major)
-    solves as Q [(Q^T X Q) / (sigma + tau (mu_a + mu_b))] Q^T, O(m**3) per
-    column against O(m**6) for a dense factorization. Q^T X Q is formed once for
-    all terms, and each batch of terms goes back in one stacked product: two
-    m x m products per column and term, not four. lambda_min is twice T's, so
-    T's lower-bound check carries over.
+    Fast diagonalization (Lynch, Rice & Thomas, 1964): with T = Q diag(mu) Q^T,
+    a column x read as the m x m matrix X (row-major) has L x = T X + X T, so
+    in the basis, Q^T X Q, L is diag(mu_a + mu_b) in row-major order. Each map
+    is one stacked product, Q^T X Q in and Q Y Q^T out, O(m**3) per column
+    against O(m**6) for a dense factorization; in between the handle is a
+    DiagonalOperator, so a solve is a row-wise division and an apply evaluates
+    the form on the eigenvalues. lambda_min is twice T's, so T's lower-bound
+    check carries over. The eigenvalues are clipped at it: the computed
+    2 min(mu) may lie just below it (fd2d:5), where eval_scalar would refuse
+    the apply.
     """
 
     def __init__(self, t: TridiagonalOperator):
         if not isinstance(t, TridiagonalOperator):
             raise ValueError(f"a Kronecker sum needs a TridiagonalOperator factor, got {type(t).__name__}")
         m = t.dimension
-        super().__init__(m * m, 2.0 * t.lambda_min)
+        OperatorHandle.__init__(self, m * m, 2.0 * t.lambda_min)  # the bound is T's, not min(eigenvalues)
         self.t = t
         # scipy's default driver, divide and conquer (dstevd), not the MRRR of the
         # quadrature rules: fast diagonalization needs Q orthogonal to eps, and at
         # m = 1000 MRRR leaves |Q^T Q - I| at 2.6e-13 against 2.3e-15
         mu, self._q = eigh_tridiagonal(t.diag, t.off)
-        self._grid = mu[:, None] + mu[None, :]
+        self.eigenvalues = np.maximum(np.add.outer(mu, mu).ravel(), self.lambda_min)
 
-    def spectrum(self):
-        return np.sort(self._grid, axis=None)
-
-    def _shifted_solves(self, sigma, tau, b):
-        m, r, q = self.t.dimension, b.shape[1], self._q
-        # (dim, r) -> (r, m, m), one m x m matrix per column, transformed once for every term
+    def _to_basis(self, b):
+        m, r = self.t.dimension, b.shape[1]
+        # (dim, r) -> (r, m, m), one m x m matrix per column
         x = np.ascontiguousarray(b.reshape(m, m, r).transpose(2, 0, 1))
-        xh = q.T @ x @ q
-        step = _batch_terms(b)
-        for start in range(0, sigma.size, step):
-            s, t = sigma[start:start + step, None, None, None], tau[start:start + step, None, None, None]
-            c = xh / (s + t * self._grid)
-            yield from (q @ c @ q.T).reshape(len(s), r, m * m).transpose(0, 2, 1)
+        return (self._q.T @ x @ self._q).reshape(r, m * m).T
+
+    def _from_basis(self, y):
+        m, r = self.t.dimension, y.shape[1]
+        return (self._q @ y.T.reshape(r, m, m) @ self._q.T).reshape(r, m * m).T
 
     def to_dense(self) -> np.ndarray:
         _check_dense_dim(self.dimension)
@@ -354,15 +352,15 @@ def apply_fractional_inverse(
     """Approximate L**(-alpha) B with one shifted solve per retained node.
 
     B is a vector (dim,), applied as a block of one column, or a block
-    (dim, r). A node's solve against L / lambda_min is the solve
-    (sigma I + (tau / lambda_min) L) X = B. A handle that is not diagonal
-    yields all k1 + k2 solutions for the whole block from one call of its
-    _shifted_solves, on the calling thread whatever parallel says, and they
-    are added up in the order of form.terms().
+    (dim, r), mapped into the handle's basis and back once each. A node's
+    solve against L / lambda_min is the solve (sigma I + (tau / lambda_min) L) X = B.
+    A handle that is not diagonal yields all k1 + k2 solutions for the whole
+    block from one call of its _shifted_solves, on the calling thread
+    whatever parallel says, and they are added up in the order of form.terms().
 
-    A diagonal handle makes no solve: row i of the result is row i of B times
-    lambda_min**(-alpha) * eval_scalar(form, eigenvalues[i] / lambda_min), one
-    evaluation for all r columns. Its rows go into ceil(rows / _BLOCK_ROWS)
+    A diagonal handle makes no solve: in its basis, row i of the result is row
+    i of B times lambda_min**(-alpha) * eval_scalar(form, eigenvalues[i] /
+    lambda_min), one evaluation for all r columns. Its rows go into ceil(rows / _BLOCK_ROWS)
     near-equal ranges, each a piece whose temporaries stay in cache. A serial
     apply has one worker, a parallel one has max_workers (default
     os.cpu_count()); the pieces run on a pool of min(workers, pieces) threads
@@ -374,7 +372,7 @@ def apply_fractional_inverse(
         raise ValueError(f"max_workers must be None or an integer >= 1, got {max_workers!r}")
     b = op._check_rhs(b)
     _check_finite("right-hand side", b)
-    block = b.reshape(op.dimension, -1)
+    block = op._to_basis(b.reshape(op.dimension, -1))
     scale = op.lambda_min ** (-form.alpha)
     out = np.zeros(block.shape)
     if not op.diagonal:
@@ -388,7 +386,7 @@ def apply_fractional_inverse(
                 raise RuntimeError(f"shifted solve failed (family {fam}, node {j}): {exc}") from exc
             out += c * sol
         out *= scale
-        return out.reshape(b.shape)
+        return op._from_basis(out).reshape(b.shape)
 
     def evaluate(lo, hi):
         f = eval_scalar(form, op.eigenvalues[lo:hi] / op.lambda_min)
@@ -407,7 +405,7 @@ def apply_fractional_inverse(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for future in [pool.submit(evaluate, lo, hi) for lo, hi in pieces]:
                 future.result()
-    return out.reshape(b.shape)
+    return op._from_basis(out).reshape(b.shape)
 
 
 def dense_fractional_inverse(op: OperatorHandle, form: RationalForm) -> np.ndarray:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from glfrac import DenseOperator, DiagonalOperator, KroneckerSumOperator, TridiagonalOperator
+from glfrac import DenseOperator, DiagonalOperator, TridiagonalOperator
 
 settings.register_profile(
     "numeric",
@@ -17,7 +17,8 @@ def count_solves(monkeypatch):
     """A list that gets (type(handle), handle.dimension) for every shifted solve, on any thread.
 
     Each stock handle's _shifted_solves records one entry per term it yields,
-    so a one-term shifted_solve records one too.
+    so a one-term shifted_solve records one too. KroneckerSumOperator inherits
+    DiagonalOperator's, so it is counted through that one, once.
     """
     calls = []
 
@@ -29,6 +30,6 @@ def count_solves(monkeypatch):
 
         return wrapper
 
-    for cls in (DiagonalOperator, TridiagonalOperator, DenseOperator, KroneckerSumOperator):
+    for cls in (DiagonalOperator, TridiagonalOperator, DenseOperator):
         monkeypatch.setattr(cls, "_shifted_solves", counted(cls._shifted_solves))
     return calls

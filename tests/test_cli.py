@@ -445,7 +445,7 @@ def test_cli_digests_hash_each_table(capsys):
     assert sum(name.startswith("run_figures/") for _, _, name in lines) == 11
     by_name = {name: digest for digest, _, name in lines}
     threaded = [name for name in by_name if name.endswith(" --parallel")]
-    assert len(threaded) == 16  # 4 operators x 2 alphas x 2 variants
+    assert len(threaded) == 20  # 5 operators x 2 alphas x 2 variants
     assert all(by_name[name] == by_name[name.removesuffix(" --parallel")] for name in threaded)
     argv = ["select-n", "--alpha", "0.5", "--tol", "1e-8"]
     assert main(argv) == 0

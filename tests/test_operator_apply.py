@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.fft import dstn
-from scipy.linalg import solveh_banded
+from scipy.linalg import eigh_tridiagonal, solveh_banded
 
 from glfrac import (
     DENSE_DIM_CAP,
@@ -89,10 +89,12 @@ def test_parallel_output_bit_identical(monkeypatch, count_solves):
     apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
     assert len(count_solves) == 60
     # a diagonal handle's B splits into ceil(rows / 2**15) row ranges whatever the
-    # worker count, and each range evaluates the form once; any other handle's B is
+    # worker count, and each range evaluates the form once; so does the Kronecker sum's
+    # in its eigenbasis (fd2d:182 has 33124 rows, two ranges); any other handle's B is
     # one piece that runs the whole term loop
     handles = {**_handles(), "diagonal-10k": builtin_operator("diag-power", size=10_000, exponent=2.0),
-               "diagonal-40k": builtin_operator("diag-power", size=40_000, exponent=2.0)}
+               "diagonal-40k": builtin_operator("diag-power", size=40_000, exponent=2.0),
+               "kronecker-182": builtin_operator("fd-laplacian-2d", m=182)}
     form = _form(0.75, 20, "equalized")
     terms = form.k1 + form.k2
     rng = np.random.default_rng(3)
@@ -434,8 +436,8 @@ def test_handles_solve_blocks_only(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense", "kronecker"])
 def test_diagonal_flag(kind):
-    # a form acts entrywise on spectrum() only for the diagonal handle
-    assert _handles()[kind].diagonal is (kind == "diagonal")
+    # a form acts entrywise on the eigenvalues of the diagonal handle, and of the Kronecker sum in its eigenbasis
+    assert _handles()[kind].diagonal is (kind in ("diagonal", "kronecker"))
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense", "kronecker"])
@@ -476,9 +478,21 @@ def test_kronecker_sum_refuses_a_factor_that_is_not_tridiagonal():
 
 
 def test_dense_fractional_inverse_one_solve_per_node(count_solves):
-    op = builtin_operator("fd-laplacian-2d", m=6)
+    op = builtin_operator("fd-laplacian-1d", m=36)
     dense_fractional_inverse(op, _form(0.5, 10))
     assert len(count_solves) == 20  # k1 + k2, not dim * (k1 + k2)
+
+
+def test_kronecker_eigenvalues_are_clipped_at_lambda_min():
+    # fd2d:5's computed 2 min(mu) lies below its closed-form lambda_min, where eval_scalar would refuse the apply
+    op = builtin_operator("fd-laplacian-2d", m=5)
+    mu, _ = eigh_tridiagonal(op.t.diag, op.t.off)  # as the handle computes them; the eigenvalue-only driver rounds otherwise
+    assert 2.0 * mu.min() < op.lambda_min
+    assert op.eigenvalues.min() == op.lambda_min
+    b = np.random.default_rng(16).standard_normal(25)
+    x = apply_fractional_inverse(op, b, _form(0.5, 20))
+    ref = apply_fractional_inverse(DenseOperator(op.to_dense(), op.lambda_min), b, _form(0.5, 20))
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_fd1d_single_point():
@@ -682,10 +696,9 @@ def test_tridiagonal_solve_matches_solveh_banded():
                 assert np.array_equal(b, before)
 
 
-@pytest.mark.parametrize("kind, ms", [("fd-laplacian-1d", (1, 2, 3, 50, 1000)), ("fd-laplacian-2d", (1, 2, 6, 20))])
+@pytest.mark.parametrize("kind, ms", [("fd-laplacian-1d", (1, 2, 3, 50, 1000))])
 def test_batched_solves_match_one_term_solves(kind, ms):
-    # 90 terms cross the Kronecker sum's batch boundaries (81 terms of a vector on fd2d:20); a tridiagonal
-    # handle solves each term in its own call
+    # a tridiagonal handle solves each of the 90 terms in its own call
     form = _form(0.5, 45)
     rng = np.random.default_rng(12)
     for m in ms:
