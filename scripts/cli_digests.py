@@ -1,10 +1,11 @@
 """Print one sha256 per CLI table, to show that a change keeps the CLI's bytes.
 
 Runs the benchmark's figure-sweep commands (read from bench/workloads.py),
-EXTRA_COMMANDS, THREADED_COMMANDS each serially and with --parallel, and
-scripts/run_figures.py in-process, through whichever glfrac comes first on
-the import path, and prints "<sha256> <exit code> <table>" per table. A --parallel line must equal its serial twin. Comparing two
-checkouts is then one diff:
+EXTRA_COMMANDS, THREADED_COMMANDS each serially and with --parallel,
+DENSE_COMMAND and scripts/run_figures.py in-process, through whichever
+glfrac comes first on the import path, and prints "<sha256> <exit code>
+<table>" per table. A --parallel line must equal its serial twin. Comparing
+two checkouts is then one diff:
 
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/cli_digests.py > before.txt
     PYTHONPATH=src python3 scripts/cli_digests.py > after.txt
@@ -53,6 +54,13 @@ EXTRA_COMMANDS = (
       for op in ("fd1d:1000", "fd2d:20")),
 )
 
+# An apply of 90 terms on a dense handle, one Cholesky factorization per term.
+# Its file is written to a temporary directory and holds the fd1d:12 matrix with
+# its closed-form lambda_min, as repr floats; the line names it by DENSE_LABEL,
+# so two checkouts print the same line.
+DENSE_COMMAND = ("apply", "--op", "dense:{path}", "--alpha", "0.5", "--n", "45", "--variant", "full", "--seed", "5")
+DENSE_LABEL = "FD1D12"
+
 # Commands whose output must not depend on --parallel. A diagonal handle cuts
 # its rows into ceil(rows / 2**15) ranges either way: diagpow:20000:2 is one
 # range, which runs on the calling thread, and diagpow:70000:2 is three, which
@@ -79,6 +87,17 @@ def command_digests(commands):
         yield f"{_sha256(out.getvalue().encode())} {rc} {' '.join(argv)}"
 
 
+def dense_digests():
+    """One line for DENSE_COMMAND, with DENSE_LABEL in place of the file's path."""
+    op = glfrac.builtin_operator("fd-laplacian-1d", m=12)
+    rows = [f"{op.dimension} {op.lambda_min!r}", *(" ".join(map(repr, row)) for row in op.to_dense().tolist())]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fd1d-12.txt"
+        path.write_text("\n".join(rows) + "\n")
+        (line,) = command_digests([[arg.format(path=path) for arg in DENSE_COMMAND]])
+        return [line.replace(str(path), DENSE_LABEL)]
+
+
 def figure_digests():
     """One line per file that scripts/run_figures.py writes."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
@@ -91,7 +110,7 @@ def main() -> int:
     print(f"glfrac from {Path(glfrac.__file__).parent}", file=sys.stderr)
     threaded = [variant for argv in THREADED_COMMANDS for variant in (argv, (*argv, "--parallel"))]
     commands = (*FigureSweep.COMMANDS, *EXTRA_COMMANDS, *threaded)
-    for line in (*command_digests(commands), *figure_digests()):
+    for line in (*command_digests(commands), *dense_digests(), *figure_digests()):
         print(line)
     return 0
 

@@ -83,18 +83,17 @@ def _check_finite(name: str, a: np.ndarray):
 class OperatorHandle(ABC):
     """A self-adjoint positive operator exposing shifted solves.
 
-    A concrete handle implements one protected generator, _shifted_solves,
-    which yields X of (sigma[j] I + tau[j] L) X = B for each j of checked
-    1-D shift arrays against a checked block B (dim, r), one solve per term,
-    in the handle's orthonormal basis V: _to_basis(B) is V^T B and
-    _from_basis(X) is V X, both the identity by default. Columns are solved
-    independently: a solve of some of the columns gives the same bits as
-    those columns of a whole-block solve. The public shifted_solve checks the
-    shifts and B, and solves a vector (dim,) as a block of one column in a
-    batch of one term. It and an apply each map B into the basis once and
-    back once, and an apply takes all its solutions from one call of
-    _shifted_solves. The class attribute diagonal is True for a handle that
-    is diag(self.eigenvalues) in its basis; an apply then makes no solve, and
+    A concrete handle implements one protected method, _solve(sigma, tau, B),
+    which returns X of (sigma I + tau L) X = B for checked float shifts
+    against a checked finite block B (dim, r), one solve per call, in the
+    handle's orthonormal basis V: _to_basis(B) is V^T B and _from_basis(X) is
+    V X, both the identity by default. Columns are solved independently: a
+    solve of some of the columns gives the same bits as those columns of a
+    whole-block solve. The public shifted_solve checks the shifts and B, and
+    solves a vector (dim,) as a block of one column. It and an apply each map
+    B into the basis once and back once, and an apply calls _solve once per
+    term. The class attribute diagonal is True for a handle that is
+    diag(self.eigenvalues) in its basis; an apply then makes no solve, and
     evaluates the form on those values over lambda_min instead.
     """
 
@@ -112,6 +111,7 @@ class OperatorHandle(ABC):
         b = _real("right-hand side", b)
         if b.ndim not in (1, 2) or b.shape[0] != self.dimension:
             raise DimensionMismatchError(f"dimension mismatch: shape {b.shape}, operator dimension {self.dimension}")
+        _check_finite("right-hand side", b)
         return b
 
     def spectrum(self) -> np.ndarray:
@@ -125,18 +125,17 @@ class OperatorHandle(ABC):
         return x
 
     @abstractmethod
-    def _shifted_solves(self, sigma: np.ndarray, tau: np.ndarray, b: np.ndarray):
-        """Yield X of (sigma[j] I + tau[j] L) X = B for each j of the checked shifts; a failing j raises when due."""
+    def _solve(self, sigma: float, tau: float, b: np.ndarray) -> np.ndarray:
+        """Return X of (sigma I + tau L) X = B for checked shifts and a checked block B (dim, r)."""
 
     def shifted_solve(self, sigma: float, tau: float, b) -> np.ndarray:
-        """Solve (sigma I + tau L) X = B for finite sigma, tau >= 0, not both zero; X has the shape of B."""
+        """Solve (sigma I + tau L) X = B for finite sigma, tau >= 0, not both zero, and a finite B; X has B's shape."""
         if not (is_real(sigma) and is_real(tau) and sigma >= 0.0 and tau >= 0.0 and sigma + tau > 0.0):
             raise ValueError(f"shift coefficients must be finite, nonnegative and not both zero: "
                              f"sigma={sigma!r}, tau={tau!r}")
         b = self._check_rhs(b)
         block = self._to_basis(b.reshape(self.dimension, -1))
-        x = next(self._shifted_solves(np.array([float(sigma)]), np.array([float(tau)]), block))
-        return self._from_basis(x).reshape(b.shape)
+        return self._from_basis(self._solve(float(sigma), float(tau), block)).reshape(b.shape)
 
 
 class DiagonalOperator(OperatorHandle):
@@ -157,8 +156,8 @@ class DiagonalOperator(OperatorHandle):
     def spectrum(self):
         return np.sort(self.eigenvalues)
 
-    def _shifted_solves(self, sigma, tau, b):
-        return (b / (s + t * self.eigenvalues)[:, None] for s, t in zip(sigma.tolist(), tau.tolist()))
+    def _solve(self, sigma, tau, b):
+        return b / (sigma + tau * self.eigenvalues)[:, None]
 
 
 class TridiagonalOperator(OperatorHandle):
@@ -193,19 +192,18 @@ class TridiagonalOperator(OperatorHandle):
     def spectrum(self):
         return eigvalsh_tridiagonal(self.diag, self.off)
 
-    def _shifted_solves(self, sigma, tau, b):
-        for s, t in zip(sigma.tolist(), tau.tolist()):
-            d = t * self.diag
-            d += s
-            if self.dimension == 1:
-                # ptsv refuses an empty off-diagonal; a 1 x 1 system is one quotient
-                x, info = b / d, 0 if d[0] > 0.0 else 1
-            else:
-                _, _, x, info = dptsv(d, t * self.off, b, overwrite_d=True, overwrite_e=True)  # b is left as it is
-            if info > 0:
-                raise NotPositiveDefiniteError(f"operator not positive definite: sigma={s!r}, tau={t!r}: "
-                                               f"leading minor of order {info} not positive definite")
-            yield x
+    def _solve(self, sigma, tau, b):
+        d = tau * self.diag
+        d += sigma
+        if self.dimension == 1:
+            # ptsv refuses an empty off-diagonal; a 1 x 1 system is one quotient
+            x, info = b / d, 0 if d[0] > 0.0 else 1
+        else:
+            _, _, x, info = dptsv(d, tau * self.off, b, overwrite_d=True, overwrite_e=True)  # b is left as it is
+        if info > 0:
+            raise NotPositiveDefiniteError(f"operator not positive definite: sigma={sigma!r}, tau={tau!r}: "
+                                           f"leading minor of order {info} not positive definite")
+        return x
 
     def to_dense(self) -> np.ndarray:
         _check_dense_dim(self.dimension)
@@ -244,16 +242,15 @@ class DenseOperator(OperatorHandle):
     def spectrum(self):
         return eigvalsh(self.matrix)
 
-    def _shifted_solves(self, sigma, tau, b):
-        for s, t in zip(sigma.tolist(), tau.tolist()):
-            shifted = t * self.matrix
-            shifted[np.diag_indices_from(shifted)] += s
-            try:
-                factor = cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefiniteError(
-                    f"operator not positive definite: sigma={s!r}, tau={t!r}: {exc}") from exc
-            yield cho_solve(factor, b, check_finite=False)
+    def _solve(self, sigma, tau, b):
+        shifted = tau * self.matrix
+        shifted[np.diag_indices_from(shifted)] += sigma
+        try:
+            factor = cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError(
+                f"operator not positive definite: sigma={sigma!r}, tau={tau!r}: {exc}") from exc
+        return cho_solve(factor, b, check_finite=False)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.copy()
@@ -354,9 +351,9 @@ def apply_fractional_inverse(
     B is a vector (dim,), applied as a block of one column, or a block
     (dim, r), mapped into the handle's basis and back once each. A node's
     solve against L / lambda_min is the solve (sigma I + (tau / lambda_min) L) X = B.
-    A handle that is not diagonal yields all k1 + k2 solutions for the whole
-    block from one call of its _shifted_solves, on the calling thread
-    whatever parallel says, and they are added up in the order of form.terms().
+    A handle that is not diagonal solves the whole block with one call of its
+    _solve per term, on the calling thread whatever parallel says, and the
+    solutions are added up in the order of form.terms().
 
     A diagonal handle makes no solve: in its basis, row i of the result is row
     i of B times lambda_min**(-alpha) * eval_scalar(form, eigenvalues[i] /
@@ -371,17 +368,13 @@ def apply_fractional_inverse(
     if max_workers is not None and not is_int_in(max_workers, 1):
         raise ValueError(f"max_workers must be None or an integer >= 1, got {max_workers!r}")
     b = op._check_rhs(b)
-    _check_finite("right-hand side", b)
     block = op._to_basis(b.reshape(op.dimension, -1))
     scale = op.lambda_min ** (-form.alpha)
     out = np.zeros(block.shape)
     if not op.diagonal:
-        solutions = None
-        for fam, j, c, _, _ in form.terms():
-            try:  # the first call is inside too: a handle's _shifted_solves may raise before it yields
-                if solutions is None:
-                    solutions = op._shifted_solves(form.term_arrays[1], form.term_arrays[2] / op.lambda_min, block)
-                sol = next(solutions)
+        for fam, j, c, s, t in form.terms():
+            try:
+                sol = op._solve(s, t / op.lambda_min, block)
             except Exception as exc:
                 raise RuntimeError(f"shifted solve failed (family {fam}, node {j}): {exc}") from exc
             out += c * sol

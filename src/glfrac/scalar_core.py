@@ -337,9 +337,12 @@ def plan_full(n: int) -> TruncationPlan:
 def plan_balanced(n: int, alpha: float) -> TruncationPlan:
     """Truncate both order-n families at the common slow-family cutoff.
 
-    Dropping nodes past the cutoff perturbs the result by no more than
-    the full estimate itself, so accuracy matches the full variant at
-    roughly a third of the solves.
+    The closed-form cutoff keeps roughly a third of the solves, but some of
+    the nodes it drops weigh more than the error budget, so it does not
+    hold the error to the full estimate. In the stored figure-sweep
+    tables the worst error over estimate is 3.00 balanced against 1.19
+    full on diagpow:1000:4 at alpha 0.25, and 2.02 for both on
+    diagpow:100:8 at alpha 0.5. A tail-weight cutoff is ROADMAP item 1.
     """
     alpha = check_alpha(alpha)
     n = check_order(n)
@@ -348,12 +351,17 @@ def plan_balanced(n: int, alpha: float) -> TruncationPlan:
 
 
 def plan_equalized(n: int, alpha: float) -> TruncationPlan:
-    """Give each family its own order so their truncated errors match.
+    """Give each family its own order, sized by the paper's estimates to err alike.
 
     The dominant family keeps the requested order n; the other family's
     order is shrunk (rounded up) to the point where its error estimate
     equals the dominant one, then each family truncates at its own
-    cutoff. Branch choice mirrors estimate_operator_error.
+    closed-form cutoff. Branch choice mirrors estimate_operator_error.
+    Some nodes the cutoffs drop weigh more than the error budget, so the
+    truncated errors need not match: in the stored figure-sweep tables the
+    worst error over estimate is 24.70 against 1.19 full on diagpow:1000:4
+    at alpha 0.25, and 9.18 against 2.02 on diagpow:100:8 at alpha 0.5. A
+    tail-weight cutoff is ROADMAP item 1.
     """
     alpha = check_alpha(alpha)
     n = check_order(n)

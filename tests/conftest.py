@@ -16,20 +16,19 @@ settings.load_profile("numeric")
 def count_solves(monkeypatch):
     """A list that gets (type(handle), handle.dimension) for every shifted solve, on any thread.
 
-    Each stock handle's _shifted_solves records one entry per term it yields,
-    so a one-term shifted_solve records one too. KroneckerSumOperator inherits
-    DiagonalOperator's, so it is counted through that one, once.
+    Each stock handle's _solve records one entry per call, so a shifted_solve
+    records one too. KroneckerSumOperator inherits DiagonalOperator's, so it is
+    counted through that one, once.
     """
     calls = []
 
-    def counted(solves):
+    def counted(solve):
         def wrapper(self, sigma, tau, b):
-            for x in solves(self, sigma, tau, b):
-                calls.append((type(self), self.dimension))  # list.append is atomic under the GIL
-                yield x
+            calls.append((type(self), self.dimension))  # list.append is atomic under the GIL
+            return solve(self, sigma, tau, b)
 
         return wrapper
 
     for cls in (DiagonalOperator, TridiagonalOperator, DenseOperator):
-        monkeypatch.setattr(cls, "_shifted_solves", counted(cls._shifted_solves))
+        monkeypatch.setattr(cls, "_solve", counted(cls._solve))
     return calls

@@ -413,17 +413,16 @@ def test_block_solve_matches_column_solves(kind):
 
 @pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense", "kronecker"])
 def test_handles_solve_blocks_only(kind, monkeypatch):
-    # a vector reaches the protected solve as a block of one column, from an apply and from shifted_solve,
-    # which solves a batch of one term
+    # a vector reaches the protected solve as a block of one column, from an apply and from shifted_solve
     op = _handles()[kind]
     shapes = []
-    solve = type(op)._shifted_solves
+    solve = type(op)._solve
 
     def spy(self, sigma, tau, b):
-        shapes.extend([b.shape] * np.size(sigma))  # one entry per term
+        shapes.append(b.shape)
         return solve(self, sigma, tau, b)
 
-    monkeypatch.setattr(type(op), "_shifted_solves", spy)
+    monkeypatch.setattr(type(op), "_solve", spy)
     b = np.random.default_rng(6).standard_normal(op.dimension)
     form = _form(0.5, 5)
     for parallel in (False, True):
@@ -556,8 +555,8 @@ def test_rejects_non_positive_spectra():
 
 def test_handle_checks_dimension_and_lambda_min():
     class Scaled(OperatorHandle):
-        def _shifted_solves(self, sigma, tau, b):
-            return (b / (s + t * self.lambda_min) for s, t in zip(sigma, tau))
+        def _solve(self, sigma, tau, b):
+            return b / (sigma + tau * self.lambda_min)
 
     form = _form(0.5, 5)
     x = apply_fractional_inverse(Scaled(3, 4.0), np.ones(3), form)
@@ -592,6 +591,12 @@ def test_rejects_non_finite_rhs_before_any_solve(count_solves):
     b[2] = np.nan
     with pytest.raises(ValueError, match="right-hand side must be finite: 1 of 5 .* index 2$"):
         apply_fractional_inverse(op, b, _form(0.5, 5))
+    # shifted_solve shares the apply's check, which would otherwise solve to NaNs
+    for op in _handles().values():
+        b = np.ones(op.dimension)
+        b[2] = np.nan
+        with pytest.raises(ValueError, match=f"right-hand side must be finite: 1 of {op.dimension} .* index 2$"):
+            op.shifted_solve(1.0, 1.0, b)
     assert count_solves == []
 
 
@@ -689,35 +694,17 @@ def test_tridiagonal_solve_matches_solveh_banded():
             ab = np.zeros((2, m))
             ab[0] = sigma + tau * op.diag
             ab[1, :-1] = tau * op.off
-            for b in (block[:, 0], block, block[:, 1:3]):
+            blocks = [block[:, 0], block, block[:, 1:3], block[:, 1:4:2], block[:, :0]]
+            if m <= 400:
+                blocks.append(np.eye(m))
+            for b in blocks:
                 before = b.copy()
                 x = op.shifted_solve(sigma, tau, b)
                 assert np.array_equal(x, solveh_banded(ab, b, lower=True)), (m, sigma, tau, b.shape)
                 assert np.array_equal(b, before)
 
 
-@pytest.mark.parametrize("kind, ms", [("fd-laplacian-1d", (1, 2, 3, 50, 1000))])
-def test_batched_solves_match_one_term_solves(kind, ms):
-    # a tridiagonal handle solves each of the 90 terms in its own call
-    form = _form(0.5, 45)
-    rng = np.random.default_rng(12)
-    for m in ms:
-        op = builtin_operator(kind, m=m)
-        sigma, tau = form.term_arrays[1], form.term_arrays[2] / op.lambda_min
-        block = rng.standard_normal((op.dimension, 5))
-        blocks = {"vector": block[:, :1], "r=0": block[:, :0], "r=1": block[:, 1:2], "r=4": block[:, :4],
-                  "slice": block[:, 1:4:2]}
-        if op.dimension <= 400:
-            blocks["identity"] = np.eye(op.dimension)
-        for name, b in blocks.items():
-            solutions = list(op._shifted_solves(sigma, tau, b))
-            assert len(solutions) == sigma.size
-            for s, t, x in zip(sigma.tolist(), tau.tolist(), solutions):
-                one = op.shifted_solve(s, t, b[:, 0] if name == "vector" else b)
-                assert np.array_equal(x.reshape(one.shape), one), (m, name, s, t)
-
-
-def test_batched_solve_failure_names_the_failing_term(monkeypatch):
+def test_solve_failure_names_the_failing_term(monkeypatch):
     # ptsv reports the 5th leading minor on its 35th call: the apply names that term, and solves no further
     op = builtin_operator("fd-laplacian-1d", m=1000)
     form = _form(0.5, 40)  # 80 terms
@@ -763,20 +750,15 @@ def test_shift_validation():
 
 def test_solve_failure_names_node_and_family():
     class Broken(DenseOperator):  # a diagonal apply makes no solve that could fail
-        def _shifted_solves(self, sigma, tau, b):
+        def _solve(self, sigma, tau, b):
             raise np.linalg.LinAlgError("synthetic breakdown")
-            yield  # a generator: the error comes when the first solution is due
 
-    op = Broken(np.diag([1.0, 2.0]), lambda_min=1.0)
-    with pytest.raises(RuntimeError, match=r"shifted solve failed \(family 1, node 1\)"):
-        apply_fractional_inverse(op, np.ones(2), _form(0.5, 3))
-
-
-def test_solve_failure_before_the_first_yield_is_named():
-    class Eager(OperatorHandle):  # a plain function, not a generator: it raises when called
-        def _shifted_solves(self, sigma, tau, b):
+    class Eager(OperatorHandle):
+        def _solve(self, sigma, tau, b):
             raise np.linalg.LinAlgError("eager breakdown")
 
-    with pytest.raises(RuntimeError, match=r"^shifted solve failed \(family 1, node 1\): eager breakdown$") as info:
-        apply_fractional_inverse(Eager(2, 1.0), np.ones(2), _form(0.5, 3))
-    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    for op, cause in ((Broken(np.diag([1.0, 2.0]), lambda_min=1.0), "synthetic breakdown"),
+                      (Eager(2, 1.0), "eager breakdown")):
+        with pytest.raises(RuntimeError, match=rf"^shifted solve failed \(family 1, node 1\): {cause}$") as info:
+            apply_fractional_inverse(op, np.ones(2), _form(0.5, 3))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)

@@ -37,8 +37,8 @@ from glfrac import (
 
 
 class _Scaled(OperatorHandle):
-    def _shifted_solves(self, sigma, tau, b):
-        return (b / (s + t * self.lambda_min) for s, t in zip(sigma, tau))
+    def _solve(self, sigma, tau, b):
+        return b / (sigma + tau * self.lambda_min)
 
 
 def _form():
