@@ -753,12 +753,18 @@ def test_solve_failure_names_node_and_family():
         def _solve(self, sigma, tau, b):
             raise np.linalg.LinAlgError("synthetic breakdown")
 
+    op = Broken(np.diag([1.0, 2.0]), lambda_min=1.0)
+    with pytest.raises(RuntimeError, match=r"^shifted solve failed \(family 1, node 1\): synthetic breakdown$") as info:
+        apply_fractional_inverse(op, np.ones(2), _form(0.5, 3))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_solve_failure_before_the_first_yield_is_named():
+    # a bare handle whose very first solve raises, before any term reaches the sum
     class Eager(OperatorHandle):
         def _solve(self, sigma, tau, b):
             raise np.linalg.LinAlgError("eager breakdown")
 
-    for op, cause in ((Broken(np.diag([1.0, 2.0]), lambda_min=1.0), "synthetic breakdown"),
-                      (Eager(2, 1.0), "eager breakdown")):
-        with pytest.raises(RuntimeError, match=rf"^shifted solve failed \(family 1, node 1\): {cause}$") as info:
-            apply_fractional_inverse(op, np.ones(2), _form(0.5, 3))
-        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    with pytest.raises(RuntimeError, match=r"^shifted solve failed \(family 1, node 1\): eager breakdown$") as info:
+        apply_fractional_inverse(Eager(2, 1.0), np.ones(2), _form(0.5, 3))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
