@@ -22,6 +22,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "scripts")]
 
@@ -55,9 +57,9 @@ EXTRA_COMMANDS = (
 )
 
 # An apply of 90 terms on a dense handle, one Cholesky factorization per term.
-# Its file is written to a temporary directory and holds the fd1d:12 matrix with
-# its closed-form lambda_min, as repr floats; the line names it by DENSE_LABEL,
-# so two checkouts print the same line.
+# Its file is written to a temporary directory and holds the fd1d:12 matrix, built
+# from the tridiagonal handle's two diagonals, with its closed-form lambda_min, as
+# repr floats; the line names it by DENSE_LABEL, so two checkouts print the same line.
 DENSE_COMMAND = ("apply", "--op", "dense:{path}", "--alpha", "0.5", "--n", "45", "--variant", "full", "--seed", "5")
 DENSE_LABEL = "FD1D12"
 
@@ -90,7 +92,8 @@ def command_digests(commands):
 def dense_digests():
     """One line for DENSE_COMMAND, with DENSE_LABEL in place of the file's path."""
     op = glfrac.builtin_operator("fd-laplacian-1d", m=12)
-    rows = [f"{op.dimension} {op.lambda_min!r}", *(" ".join(map(repr, row)) for row in op.to_dense().tolist())]
+    matrix = np.diag(op.diag) + np.diag(op.off, 1) + np.diag(op.off, -1)
+    rows = [f"{op.dimension} {op.lambda_min!r}", *(" ".join(map(repr, row)) for row in matrix.tolist())]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fd1d-12.txt"
         path.write_text("\n".join(rows) + "\n")

@@ -160,29 +160,26 @@ def _cmd_scalar_error(args):
 
 
 def _spectral_error(op, alpha: float):
-    """err(scalar_error, *args) = lambda_min**-alpha * scalar_error(unit, *args), unit = op's spectrum / lambda_min.
+    """(post, unit): lambda_min**-alpha and op's spectrum / lambda_min, clipped at 1.
 
     For a self-adjoint L, ||L**(-alpha) - R(L)||_2 is the worst scalar error
-    over the spectrum, so err(oracle_diag_norm_error, form) is that norm on
-    any handle, with nothing assembled. unit is clipped at 1: a computed
-    eigenvalue may sit below a closed-form lambda_min.
+    over the spectrum, so post * oracle_diag_norm_error(unit, form) is that
+    norm on any handle, with nothing assembled. unit is clipped at 1: a
+    computed eigenvalue may sit below a closed-form lambda_min.
     """
-    post = op.lambda_min ** (-alpha)
-    unit = np.maximum(op.spectrum() / op.lambda_min, 1.0)
-    return lambda scalar_error, *args: post * scalar_error(unit, *args)
+    return op.lambda_min ** (-alpha), np.maximum(op.spectrum() / op.lambda_min, 1.0)
 
 
 def _cmd_matrix_error(args):
     nmax = check_order(args.nmax)
     op = parse_operator(args.op)
-    err = _spectral_error(op, args.alpha)
-    post = op.lambda_min ** (-args.alpha)
+    post, unit = _spectral_error(op, args.alpha)
     rows = []
     for n in range(1, nmax + 1):
         plan = _plan_for(args.variant, n, args.alpha)
         form = build_rational(args.alpha, plan)
         est = post * estimate_operator_error(n, args.alpha).value
-        rows.append((n, plan.predicted_inversions, err(oracle_diag_norm_error, form), est))
+        rows.append((n, plan.predicted_inversions, post * oracle_diag_norm_error(unit, form), est))
     _emit("n,inversions,error,estimate", rows, args.out)
     return 0
 
@@ -214,7 +211,7 @@ def _cmd_compare(args):
     budgets = sorted({_number(tok, int, f"--solves {args.solves}") for tok in args.solves.split(",") if tok.strip()})
     if not budgets:
         raise ValueError("no solve budgets given")
-    err = _spectral_error(op, args.alpha)
+    post, unit = _spectral_error(op, args.alpha)
     rows = []
     for budget in budgets:
         for variant in ("balanced", "equalized"):
@@ -222,10 +219,10 @@ def _cmd_compare(args):
             if n is not None:
                 plan = _plan_for(variant, n, args.alpha)
                 form = build_rational(args.alpha, plan)
-                rows.append((variant, plan.predicted_inversions, err(oracle_diag_norm_error, form)))
-        rows.append(("sinc", budget, err(sinc_baseline_error, args.alpha, budget)))
+                rows.append((variant, plan.predicted_inversions, post * oracle_diag_norm_error(unit, form)))
+        rows.append(("sinc", budget, post * sinc_baseline_error(unit, args.alpha, budget)))
     rows.sort(key=lambda r: (r[0], r[1]))
-    _emit("method,solves,error", [(m, s, e) for m, s, e in rows], args.out)
+    _emit("method,solves,error", rows, args.out)
     return 0
 
 

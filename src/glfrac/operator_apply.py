@@ -13,7 +13,8 @@ error estimates valid verbatim.
 scipy.linalg is imported by the first tridiagonal, dense or Kronecker-sum
 handle built, or the first solve, and concurrent.futures by the first
 parallel diagonal apply that starts a pool: their names below are stand-ins
-from quadrature._lazy. A diagonal handle and its applies never load scipy.
+from quadrature._lazy, and the two tridiagonal eigensolvers are quadrature's
+own. A diagonal handle and its applies never load scipy.
 """
 
 import math
@@ -22,14 +23,12 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .quadrature import _lazy, _real, is_int_in, is_real
+from .quadrature import _lazy, _real, eigh_tridiagonal, eigvalsh_tridiagonal, is_int_in, is_real
 from .scalar_core import RationalForm, eval_scalar
 
 cho_factor = _lazy("scipy.linalg", "cho_factor")
 cho_solve = _lazy("scipy.linalg", "cho_solve")
-eigh_tridiagonal = _lazy("scipy.linalg", "eigh_tridiagonal")
 eigvalsh = _lazy("scipy.linalg", "eigvalsh")
-eigvalsh_tridiagonal = _lazy("scipy.linalg", "eigvalsh_tridiagonal")
 dptsv = _lazy("scipy.linalg.lapack", "dptsv")
 ThreadPoolExecutor = _lazy("concurrent.futures", "ThreadPoolExecutor")
 
@@ -47,8 +46,8 @@ __all__ = [
     "DENSE_DIM_CAP",
 ]
 
-# Largest dimension for which a dense matrix is assembled or factored:
-# DenseOperator, to_dense() and dense_fractional_inverse. Applies through
+# Largest dimension of a dense matrix: DenseOperator's, and the identity block
+# of dense_fractional_inverse. No other handle assembles one, so applies through
 # the diagonal, tridiagonal and Kronecker-sum handles are not capped.
 DENSE_DIM_CAP = 2000
 
@@ -116,7 +115,7 @@ class OperatorHandle(ABC):
 
     def spectrum(self) -> np.ndarray:
         """Return the eigenvalues of L in ascending order."""
-        raise ValueError("operator has no dense spectrum access")
+        raise ValueError(f"{type(self).__name__} has no spectrum(), and no handle assembles its matrix for one")
 
     def _to_basis(self, b: np.ndarray) -> np.ndarray:
         return b
@@ -205,10 +204,6 @@ class TridiagonalOperator(OperatorHandle):
                                            f"leading minor of order {info} not positive definite")
         return x
 
-    def to_dense(self) -> np.ndarray:
-        _check_dense_dim(self.dimension)
-        return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
-
 
 class DenseOperator(OperatorHandle):
     """Dense symmetric positive definite operator; solves use Cholesky.
@@ -225,7 +220,8 @@ class DenseOperator(OperatorHandle):
             raise ValueError("matrix must be square")
         _check_dense_dim(matrix.shape[0])
         _check_finite("matrix entries", matrix)
-        if not np.allclose(matrix, matrix.T, rtol=1e-10, atol=1e-12):
+        # atol scales with the entries, so a matrix is refused or accepted whatever its units
+        if not np.allclose(matrix, matrix.T, rtol=1e-10, atol=1e-12 * np.abs(matrix).max()):
             raise ValueError("operator not symmetric")
         super().__init__(matrix.shape[0], lambda_min)
         floor = (1.0 - 1e-12) * self.lambda_min
@@ -251,9 +247,6 @@ class DenseOperator(OperatorHandle):
             raise NotPositiveDefiniteError(
                 f"operator not positive definite: sigma={sigma!r}, tau={tau!r}: {exc}") from exc
         return cho_solve(factor, b, check_finite=False)
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.copy()
 
 
 class KroneckerSumOperator(DiagonalOperator):
@@ -292,12 +285,6 @@ class KroneckerSumOperator(DiagonalOperator):
     def _from_basis(self, y):
         m, r = self.t.dimension, y.shape[1]
         return (self._q @ y.T.reshape(r, m, m) @ self._q.T).reshape(r, m * m).T
-
-    def to_dense(self) -> np.ndarray:
-        _check_dense_dim(self.dimension)
-        t = self.t.to_dense()
-        eye = np.eye(self.t.dimension)
-        return np.kron(t, eye) + np.kron(eye, t)
 
 
 def _fd1d_stencil(m: int):
@@ -365,6 +352,8 @@ def apply_fractional_inverse(
     row goes through the same operations in the same order either way, so
     parallel output is bit-identical to serial output.
     """
+    if not isinstance(parallel, (bool, np.bool_)):
+        raise ValueError(f"parallel must be a bool, got {parallel!r}")
     if max_workers is not None and not is_int_in(max_workers, 1):
         raise ValueError(f"max_workers must be None or an integer >= 1, got {max_workers!r}")
     b = op._check_rhs(b)
@@ -402,6 +391,6 @@ def apply_fractional_inverse(
 
 
 def dense_fractional_inverse(op: OperatorHandle, form: RationalForm) -> np.ndarray:
-    """Materialize the approximation of L**(-alpha) by applying the form to the identity as one block."""
+    """The form applied to the identity as one block; no verb calls it, but bench/tracer.py wraps it by name."""
     _check_dense_dim(op.dimension)
     return apply_fractional_inverse(op, np.eye(op.dimension), form)

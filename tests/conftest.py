@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from glfrac import DenseOperator, DiagonalOperator, TridiagonalOperator
+from glfrac import DenseOperator, DiagonalOperator, KroneckerSumOperator, TridiagonalOperator
 
 settings.register_profile(
     "numeric",
@@ -32,3 +33,21 @@ def count_solves(monkeypatch):
     for cls in (DiagonalOperator, TridiagonalOperator, DenseOperator):
         monkeypatch.setattr(cls, "_solve", counted(cls._solve))
     return calls
+
+
+def _dense_matrix(op) -> np.ndarray:
+    """The matrix of a stock handle, assembled for a dense reference; no handle assembles its own."""
+    if isinstance(op, TridiagonalOperator):
+        return np.diag(op.diag) + np.diag(op.off, 1) + np.diag(op.off, -1)
+    if isinstance(op, KroneckerSumOperator):  # before DiagonalOperator, its base class
+        t, eye = _dense_matrix(op.t), np.eye(op.t.dimension)
+        return np.kron(t, eye) + np.kron(eye, t)
+    if isinstance(op, DiagonalOperator):
+        return np.diag(op.eigenvalues)
+    return op.matrix  # a DenseOperator
+
+
+@pytest.fixture(scope="session")
+def dense_matrix():
+    """_dense_matrix, for a test to build a handle's matrix; session-scoped, so @given tests may take it."""
+    return _dense_matrix

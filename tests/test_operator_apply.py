@@ -242,6 +242,23 @@ def test_max_workers_validated(parallel):
         assert np.array_equal(x, serial)
 
 
+def test_parallel_validated(monkeypatch, count_solves):
+    # refused before any work: a truthy non-bool would otherwise start a pool on 70000 rows
+    monkeypatch.setattr(operator_apply, "ThreadPoolExecutor", None)
+    evaluations = _evaluations(monkeypatch)
+    form = _form(0.5, 5)
+    for op in (builtin_operator("diag-power", size=70_000, exponent=2.0), builtin_operator("fd-laplacian-1d", m=5)):
+        b = np.ones(op.dimension)
+        for bad in ("no", "", 1, 0, 1.0, None, np.int64(1), [True]):
+            with pytest.raises(ValueError, match=f"^parallel must be a bool, got {re.escape(repr(bad))}$"):
+                apply_fractional_inverse(op, b, form, parallel=bad)
+        assert evaluations == [] and count_solves == []
+    op = DiagonalOperator([1.0, 2.0, 3.0])
+    serial = apply_fractional_inverse(op, np.ones(3), form)
+    for good in (np.False_, np.True_):
+        assert np.array_equal(apply_fractional_inverse(op, np.ones(3), form, parallel=good), serial)
+
+
 def test_apply_is_linear():
     op = DiagonalOperator(np.array([1.0, 5.0, 30.0, 1e6]))
     form = _form(0.75, 25)
@@ -277,21 +294,21 @@ def test_dense_fractional_inverse_symmetric():
     assert np.linalg.norm(approx - exact, 2) <= 3.0 * est
 
 
-def test_fd1d_spectrum_closed_form():
+def test_fd1d_spectrum_closed_form(dense_matrix):
     m = 50
     op = builtin_operator("fd-laplacian-1d", m=m)
     h = 1.0 / (m + 1)
     j = np.arange(1, m + 1)
     expected = 4.0 * np.sin(j * math.pi * h / 2.0) ** 2 / h**2
-    w = np.linalg.eigvalsh(op.to_dense())
+    w = np.linalg.eigvalsh(dense_matrix(op))
     np.testing.assert_allclose(w, np.sort(expected), rtol=1e-12)
     assert op.lambda_min == pytest.approx(expected[0], rel=1e-14)
 
 
-def test_fd1d_apply_within_estimate():
+def test_fd1d_apply_within_estimate(dense_matrix):
     m, alpha, n = 50, 0.5, 30
     op = builtin_operator("fd-laplacian-1d", m=m)
-    a = op.to_dense()
+    a = dense_matrix(op)
     w, v = np.linalg.eigh(a)
     rng = np.random.default_rng(3)
     b = rng.standard_normal(m)
@@ -301,24 +318,23 @@ def test_fd1d_apply_within_estimate():
     assert np.linalg.norm(x - exact) <= bound * np.linalg.norm(b)
 
 
-def test_fd2d_kronecker_sum():
+def test_fd2d_kronecker_sum(dense_matrix):
     m = 8
     op = builtin_operator("fd-laplacian-2d", m=m)
     assert op.dimension == m * m
-    w = np.linalg.eigvalsh(op.to_dense())
-    assert w[0] == pytest.approx(op.lambda_min, rel=1e-12)
+    v, q = np.linalg.eigh(dense_matrix(op))
+    assert v[0] == pytest.approx(op.lambda_min, rel=1e-12)
     b = np.ones(m * m)
     x = apply_fractional_inverse(op, b, _form(0.25, 20))
-    v, q = np.linalg.eigh(op.to_dense())
     exact = (q * v**-0.25) @ q.T @ b
     bound = 3.0 * estimate_operator_error(20, 0.25).value * op.lambda_min**-0.25
     assert np.linalg.norm(x - exact) <= bound * np.linalg.norm(b)
 
 
-def test_fd2d_matches_dense_operator():
+def test_fd2d_matches_dense_operator(dense_matrix):
     for m in (5, 12):
         op = builtin_operator("fd-laplacian-2d", m=m)
-        dense = DenseOperator(op.to_dense(), op.lambda_min)
+        dense = DenseOperator(dense_matrix(op), op.lambda_min)
         rng = np.random.default_rng(m)
         for b in (rng.standard_normal(m * m), rng.standard_normal((m * m, 3))):
             for form in (_form(0.25, 20), _form(0.75, 30, "equalized")):
@@ -341,8 +357,6 @@ def test_fd2d_beyond_dense_cap_applies():
     ref = dstn(values * coef, type=1, norm="ortho").ravel()
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
     with pytest.raises(ValueError, match="dimension too large"):
-        op.to_dense()
-    with pytest.raises(ValueError, match="dimension too large"):
         dense_fractional_inverse(op, form)
 
 
@@ -353,21 +367,21 @@ def test_fd2d_beyond_dense_cap_applies():
     cols=st.sampled_from([None, 1, 3]),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_kronecker_sum_solve_residual(sigma, tau, m, cols, seed):
+def test_kronecker_sum_solve_residual(dense_matrix, sigma, tau, m, cols, seed):
     op = builtin_operator("fd-laplacian-2d", m=m)
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(m * m if cols is None else (m * m, cols))
     x = op.shifted_solve(sigma, tau, b)
     assert x.shape == b.shape
-    a = sigma * np.eye(m * m) + tau * op.to_dense()
+    a = sigma * np.eye(m * m) + tau * dense_matrix(op)
     assert np.linalg.norm(a @ x - b) <= 1e-10 * max(1.0, np.linalg.norm(b))
 
 
-def test_tridiagonal_computes_lambda_min_when_omitted():
+def test_tridiagonal_computes_lambda_min_when_omitted(dense_matrix):
     diag = np.full(9, 2.0)
     off = np.full(8, -1.0)
     op = TridiagonalOperator(diag, off)
-    w = np.linalg.eigvalsh(op.to_dense())
+    w = np.linalg.eigvalsh(dense_matrix(op))
     assert op.lambda_min == pytest.approx(w[0], rel=1e-12)
 
 
@@ -378,14 +392,14 @@ def test_tridiagonal_computes_lambda_min_when_omitted():
     cols=st.sampled_from([None, 1, 3]),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_tridiagonal_solve_residual(sigma, tau, m, cols, seed):
+def test_tridiagonal_solve_residual(dense_matrix, sigma, tau, m, cols, seed):
     diag, off = np.full(m, 2.0 * (m + 1) ** 2), np.full(m - 1, -1.0 * (m + 1) ** 2)
     op = TridiagonalOperator(diag, off, lambda_min=1.0)  # spectral floor not needed here
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(m if cols is None else (m, cols))
     x = op.shifted_solve(sigma, tau, b)
     assert x.shape == b.shape
-    a = sigma * np.eye(m) + tau * op.to_dense()
+    a = sigma * np.eye(m) + tau * dense_matrix(op)
     assert np.linalg.norm(a @ x - b) <= 1e-10 * max(1.0, np.linalg.norm(b))
 
 
@@ -440,14 +454,13 @@ def test_diagonal_flag(kind):
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense", "kronecker"])
-def test_spectrum_ascending(kind):
+def test_spectrum_ascending(kind, dense_matrix):
     op = _handles()[kind]
     w = op.spectrum()
     steps = np.diff(w)
     # a Kronecker sum repeats mu_a + mu_b as mu_b + mu_a; the other spectra are simple
     assert np.all(steps >= 0.0) if kind == "kronecker" else np.all(steps > 0.0)
-    dense = np.diag(op.eigenvalues) if kind == "diagonal" else op.to_dense()
-    np.testing.assert_allclose(w, np.linalg.eigvalsh(dense), rtol=1e-12)
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(dense_matrix(op)), rtol=1e-12)
     assert w[0] == pytest.approx(op.lambda_min, rel=1e-12)
 
 
@@ -482,7 +495,7 @@ def test_dense_fractional_inverse_one_solve_per_node(count_solves):
     assert len(count_solves) == 20  # k1 + k2, not dim * (k1 + k2)
 
 
-def test_kronecker_eigenvalues_are_clipped_at_lambda_min():
+def test_kronecker_eigenvalues_are_clipped_at_lambda_min(dense_matrix):
     # fd2d:5's computed 2 min(mu) lies below its closed-form lambda_min, where eval_scalar would refuse the apply
     op = builtin_operator("fd-laplacian-2d", m=5)
     mu, _ = eigh_tridiagonal(op.t.diag, op.t.off)  # as the handle computes them; the eigenvalue-only driver rounds otherwise
@@ -490,7 +503,7 @@ def test_kronecker_eigenvalues_are_clipped_at_lambda_min():
     assert op.eigenvalues.min() == op.lambda_min
     b = np.random.default_rng(16).standard_normal(25)
     x = apply_fractional_inverse(op, b, _form(0.5, 20))
-    ref = apply_fractional_inverse(DenseOperator(op.to_dense(), op.lambda_min), b, _form(0.5, 20))
+    ref = apply_fractional_inverse(DenseOperator(dense_matrix(op), op.lambda_min), b, _form(0.5, 20))
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -549,8 +562,10 @@ def test_rejects_non_positive_spectra():
         DenseOperator(np.array([[1.0, 2.0], [2.0, 1.0]]), lambda_min=0.5)
     with pytest.raises(NotPositiveDefiniteError):
         TridiagonalOperator(np.array([0.1, 0.1]), np.array([-1.0]))
-    with pytest.raises(ValueError, match="operator not symmetric"):
-        DenseOperator(np.array([[1.0, 0.5], [0.0, 1.0]]), lambda_min=0.5)
+    # the symmetry test is scale-free: a tiny matrix is not passed on a fixed absolute tolerance
+    for scale in (1e-13, 1.0, 1e13):
+        with pytest.raises(ValueError, match="operator not symmetric"):
+            DenseOperator(scale * np.array([[1.0, 0.5], [0.0, 1.0]]), lambda_min=0.5 * scale)
 
 
 def test_handle_checks_dimension_and_lambda_min():
@@ -561,6 +576,9 @@ def test_handle_checks_dimension_and_lambda_min():
     form = _form(0.5, 5)
     x = apply_fractional_inverse(Scaled(3, 4.0), np.ones(3), form)
     assert np.all(np.abs(x - 0.5) <= 3.0 * estimate_operator_error(5, 0.5).value * 0.5)
+    # a handle without spectrum() has no dense route to one
+    with pytest.raises(ValueError, match=r"^Scaled has no spectrum\(\), and no handle assembles its matrix for one$"):
+        Scaled(3, 4.0).spectrum()
     # an infinite lambda_min would scale every apply to zero
     for bad in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(ValueError, match=rf"^lambda_min must be finite and positive, got {bad!r}$"):
@@ -580,9 +598,6 @@ def test_dimension_checks():
         DenseOperator(np.eye(DENSE_DIM_CAP + 1), lambda_min=1.0)
     with pytest.raises(ValueError, match="dimension too large"):
         dense_fractional_inverse(DiagonalOperator(np.ones(DENSE_DIM_CAP + 1)), _form(0.5, 5))
-    with pytest.raises(ValueError, match="dimension too large"):
-        builtin_operator("fd-laplacian-1d", m=DENSE_DIM_CAP + 1).to_dense()
-    assert builtin_operator("fd-laplacian-1d", m=DENSE_DIM_CAP).to_dense().shape == (DENSE_DIM_CAP, DENSE_DIM_CAP)
 
 
 def test_rejects_non_finite_rhs_before_any_solve(count_solves):
