@@ -32,20 +32,25 @@ import run_figures  # noqa: E402
 from glfrac.cli import main as cli_main  # noqa: E402
 from workloads import FigureSweep  # noqa: E402
 
-# eval_scalar takes one array pass up to 256 points and goes term by term
-# above. The figure-sweep tables evaluate 100 and 1000 eigenvalues at up to
+# eval_scalar sums one point in one pass, 2 to 2**14 points in (terms x
+# points) blocks of at most 2**15 elements within one family, and more term
+# by term. The figure-sweep tables evaluate 100 and 1000 eigenvalues at up to
 # 280 terms; the first command adds 100 eigenvalues at up to 400 terms. The
-# second reaches compare's clip at 1: fd1d:15's computed smallest eigenvalue
-# sits below its closed-form lambda_min. The third solves 1 x 1 tridiagonal
-# systems, which are one quotient each, not a factorization. The fourth to
-# seventh measure errors on the spectra of the tridiagonal and Kronecker-sum
-# handles: fd2d:20's holds the double eigenvalues mu_a + mu_b (a != b), and
-# fd1d:2001 lies past DENSE_DIM_CAP, which matrix-error does not meet. The
-# last two apply 90 terms: one ptsv call per term on fd1d:1000, and on fd2d:20
-# one evaluation of the form on the Kronecker sum's eigenvalues, between one
-# map into its eigenbasis and one back.
+# next two sweep many blocks: diagpow:3000:2 takes ten terms a block, and
+# fd2d:30 evaluates 900 points. The fourth reaches compare's clip at 1:
+# fd1d:15's computed smallest eigenvalue sits below its closed-form
+# lambda_min. The fifth solves 1 x 1 tridiagonal systems, which are one
+# quotient each, not a factorization. The sixth to ninth measure errors on the
+# spectra of the tridiagonal and Kronecker-sum handles: fd2d:20's holds the
+# double eigenvalues mu_a + mu_b (a != b), and fd1d:2001 lies past
+# DENSE_DIM_CAP, which matrix-error does not meet. The last two apply 90
+# terms: one ptsv call per term on fd1d:1000, and on fd2d:20 one evaluation of
+# the form on the Kronecker sum's eigenvalues, between one map into its
+# eigenbasis and one back.
 EXTRA_COMMANDS = (
     ("matrix-error", "--alpha", "0.5", "--nmax", "200", "--op", "diagpow:100:8"),
+    ("matrix-error", "--alpha", "0.75", "--nmax", "60", "--op", "diagpow:3000:2"),
+    ("matrix-error", "--alpha", "0.5", "--nmax", "40", "--op", "fd2d:30"),
     ("compare", "--alpha", "0.5", "--spectrum", "fd1d:15", "--solves", "11,21"),
     ("apply", "--op", "fd1d:1", "--alpha", "0.5", "--n", "4", "--seed", "5"),
     ("matrix-error", "--alpha", "0.5", "--nmax", "4", "--op", "fd1d:12"),

@@ -24,7 +24,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .quadrature import _lazy, _real, eigh_tridiagonal, eigvalsh_tridiagonal, is_int_in, is_real
-from .scalar_core import RationalForm, eval_scalar
+from .scalar_core import _BLOCK, RationalForm, eval_scalar
 
 cho_factor = _lazy("scipy.linalg", "cho_factor")
 cho_solve = _lazy("scipy.linalg", "cho_solve")
@@ -50,11 +50,6 @@ __all__ = [
 # of dense_fractional_inverse. No other handle assembles one, so applies through
 # the diagonal, tridiagonal and Kronecker-sum handles are not capped.
 DENSE_DIM_CAP = 2000
-
-# The most rows in a diagonal apply's piece, so the most a parallel one runs without a
-# pool. Chosen by paired timings of 2**13, 2**14 and 2**15: a piece's few
-# temporaries then fit in a 2 MB L2 cache.
-_BLOCK_ROWS = 2**15
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -344,7 +339,7 @@ def apply_fractional_inverse(
 
     A diagonal handle makes no solve: in its basis, row i of the result is row
     i of B times lambda_min**(-alpha) * eval_scalar(form, eigenvalues[i] /
-    lambda_min), one evaluation for all r columns. Its rows go into ceil(rows / _BLOCK_ROWS)
+    lambda_min), one evaluation for all r columns. Its rows go into ceil(rows / _BLOCK)
     near-equal ranges, each a piece whose temporaries stay in cache. A serial
     apply has one worker, a parallel one has max_workers (default
     os.cpu_count()); the pieces run on a pool of min(workers, pieces) threads
@@ -376,7 +371,7 @@ def apply_fractional_inverse(
         np.multiply(block[lo:hi], f[:, None], out=out[lo:hi])
 
     rows = op.dimension
-    p = math.ceil(rows / _BLOCK_ROWS)
+    p = math.ceil(rows / _BLOCK)
     bounds = [i * rows // p for i in range(p + 1)]
     pieces = zip(bounds, bounds[1:])
     threads = min((max_workers or os.cpu_count() or 1) if parallel else 1, p)

@@ -45,6 +45,13 @@ __all__ = [
 
 _PI = math.pi
 
+# The most elements of one working block: eval_scalar's (terms x points)
+# blocks, and the rows of a diagonal apply's pieces in operator_apply, each of
+# which is one eval_scalar call. 2**15 doubles are 256 KiB, so a block and the
+# few arrays beside it stay in a 2 MB L2 cache. Chosen for the apply's pieces by
+# paired timings of 2**13, 2**14 and 2**15.
+_BLOCK = 2**15
+
 
 class ToleranceUnreachableError(RuntimeError):
     """No order up to N_MAX meets the requested tolerance."""
@@ -251,13 +258,16 @@ def estimate_operator_error(n: int, alpha: float) -> ErrorEstimate:
     """
     alpha = check_alpha(alpha)
     n = check_order(n)
-    if n > _last_fast_order(alpha):
-        s = float(_g1_at_u(n, alpha, _ln_lambda_n(n, alpha)))
-        branch = "g1_at_lambda_n"
+    return ErrorEstimate(n, alpha, *_operator_estimate(n, alpha, _last_fast_order(alpha)))
+
+
+def _operator_estimate(n: int, alpha: float, last_fast: int) -> tuple[float, str]:
+    """(value, branch) of estimate_operator_error for a checked n and alpha; last_fast is _last_fast_order(alpha)."""
+    if n > last_fast:
+        s, branch = float(_g1_at_u(n, alpha, _ln_lambda_n(n, alpha))), "g1_at_lambda_n"
     else:
-        s = float(_g2_at(n, alpha, 1.0, 0.0))
-        branch = "g2_at_one"
-    return ErrorEstimate(n, alpha, 4.0 * math.sin(alpha * _PI) * s, branch)
+        s, branch = float(_g2_at(n, alpha, 1.0, 0.0)), "g2_at_one"
+    return 4.0 * math.sin(alpha * _PI) * s, branch
 
 
 def select_n(alpha: float, tol: float) -> tuple[int, ErrorEstimate]:
@@ -265,22 +275,25 @@ def select_n(alpha: float, tol: float) -> tuple[int, ErrorEstimate]:
 
     The estimate decreases on each of order_ranges(alpha), so one
     bisection per range, the lower range first, finds the smallest n with
-    estimate(n) <= tol; every smaller order has an estimate above tol.
+    estimate(n) <= tol; every smaller order has an estimate above tol. The
+    probes take the estimate's value alone, and one ErrorEstimate is built,
+    for the answer.
     """
     alpha = check_alpha(alpha)
     if not (is_real(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     tol = float(tol)
+    last_fast = _last_fast_order(alpha)
 
     def neg_value(n):
-        return -estimate_operator_error(n, alpha).value
+        return -_operator_estimate(n, alpha, last_fast)[0]
 
     for orders in order_ranges(alpha):
         i = bisect_left(orders, -tol, key=neg_value)
         if i < len(orders):
             n = orders[i]
-            return n, estimate_operator_error(n, alpha)
-    best = estimate_operator_error(N_MAX, alpha).value
+            return n, ErrorEstimate(n, alpha, *_operator_estimate(n, alpha, last_fast))
+    best = _operator_estimate(N_MAX, alpha, last_fast)[0]
     raise ToleranceUnreachableError(
         f"tolerance unreachable: alpha={alpha!r}, tol={tol!r}, estimate at N_MAX={N_MAX} is {best:.3g}")
 
@@ -417,17 +430,20 @@ class RationalForm:
         k1 = self.k1
         if arrays.shape != (3, k1 + self.k2):
             raise ValueError(f"term_arrays must have shape (3, k1 + k2) = (3, {k1 + self.k2}), got {arrays.shape}")
-        c, sigma, tau = arrays
-        if not ((sigma[:k1] == 1.0).all() and (tau[k1:] == 1.0).all()):
+        # the least and the greatest entry of each row within each family, as
+        # [family 1, family 2] per row; np.minimum and np.maximum pass a NaN on,
+        # and a NaN fails every comparison below
+        c_lo, sigma_lo, tau_lo = np.minimum.reduceat(arrays, (0, k1), axis=1).tolist()
+        c_hi, sigma_hi, tau_hi = np.maximum.reduceat(arrays, (0, k1), axis=1).tolist()
+        if not (sigma_lo[0] == sigma_hi[0] == 1.0 and tau_lo[1] == tau_hi[1] == 1.0):
             raise ValueError("family 1 must have sigma == 1 and family 2 tau == 1")
-        # trailing weights underflow to exact zeros at large orders; NaN fails both comparisons
-        if not (c.min() >= 0.0 and c.max() < math.inf):
+        # trailing weights underflow to exact zeros at large orders
+        if not (c_lo[0] >= 0.0 and c_lo[1] >= 0.0 and c_hi[0] < math.inf and c_hi[1] < math.inf):
             raise ValueError("coefficients must be finite and nonnegative")
-        if c[0] <= 0.0 or c[k1] <= 0.0:
+        if arrays[0, 0] <= 0.0 or arrays[0, k1] <= 0.0:
             raise ValueError("leading coefficients must be positive")
-        for shifts in (tau[:k1], sigma[k1:]):
-            if not (shifts.min() >= 0.0 and shifts.max() < 1.0):
-                raise ValueError("shifts must lie in [0, 1)")
+        if not (tau_lo[0] >= 0.0 and tau_hi[0] < 1.0 and sigma_lo[1] >= 0.0 and sigma_hi[1] < 1.0):
+            raise ValueError("shifts must lie in [0, 1)")
 
     @property
     def coeffs1(self) -> np.ndarray:
@@ -479,39 +495,57 @@ def build_rational(alpha: float, plan: TruncationPlan) -> RationalForm:
     return RationalForm(alpha, plan.variant, plan.n1, plan.n2, k1, k2, arrays)
 
 
-# Most lambda points eval_scalar evaluates in one (points, terms) array pass.
-# That pass saves about 3.5 us of per-term overhead but costs more per
-# element, so the loop wins from 300-500 points on, sooner at more terms.
-# On the 2-vCPU host it was timed on (process time, best of 7): 100 x 1000
-# took 0.70 ms at once against 3.9 ms term by term, 256 x 4096 11.5 against
-# 17.3 ms; 1000 x 40 0.33 against 0.25 ms, 384 x 4096 17.4 against 11.6 ms.
-_ONE_SHOT_POINTS = 256
-
-
 def eval_scalar(form: RationalForm, lam):
     """Evaluate the rational form at lambda >= 1 (scalar or array, any shape).
 
     Each term is c / (sigma + tau * lambda), and the terms are summed left to
     right in the order of form.term_arrays, so evaluations are bit-identical.
-    Up to _ONE_SHOT_POINTS points the (points, terms) array is formed at once
-    and summed by np.add.accumulate, which adds strictly in order
-    (np.add.reduce may sum pairwise and change bits); more points go term by
-    term in two preallocated buffers. All terms are positive, and so is the value.
+    The terms go in blocks of at most _BLOCK (terms x points) elements, each
+    within one family, and each block is folded into the running sum by
+    np.add.reduce over axis 0 of [running sum; block]: once a block has two or
+    more columns, axis 0 is not its fast axis, and numpy adds its rows one
+    after another (along the fast axis it may add pairwise and change bits).
+    One point is one row of terms summed by np.add.accumulate, which adds in
+    order. Above _BLOCK // 2 points a block holds one term, and each term goes
+    over all points in two preallocated buffers. All terms are positive, and
+    so is the value.
     """
     arr, scalar = _as_lambda(lam)
     c, sigma, tau = form.term_arrays
-    if arr.size <= _ONE_SHOT_POINTS:
-        t = tau * arr.reshape(-1, 1)
+    x = arr.reshape(-1)
+    m = x.size
+    if m <= 1:
+        t = tau * x[:, None]
         t += sigma
         np.divide(c, t, out=t)
         # copied, so that the result does not hold on to the whole array
-        out = np.add.accumulate(t, axis=1)[:, -1].reshape(arr.shape).copy()
-    else:
-        out = np.zeros_like(arr)
-        buf = np.empty_like(arr)
+        out = np.add.accumulate(t, axis=1)[:, -1].copy()
+    elif m > _BLOCK // 2:
+        out = np.zeros_like(x)
+        buf = np.empty_like(x)
         for ci, si, ti in zip(c.tolist(), sigma.tolist(), tau.tolist()):
             # every family-2 term has tau == 1, and 1.0 * lambda is lambda: one pass fewer, the same bits
-            np.add(arr if ti == 1.0 else np.multiply(arr, ti, out=buf), si, out=buf)
+            np.add(x if ti == 1.0 else np.multiply(x, ti, out=buf), si, out=buf)
             np.divide(ci, buf, out=buf)
             out += buf
+    else:
+        k1, k = form.k1, c.size
+        rows = _BLOCK // m
+        out = np.zeros_like(x)
+        buf = np.empty((min(rows, k) + 1, m))
+        for first, end in ((0, k1), (k1, k)):
+            for lo in range(first, end, rows):
+                hi = min(lo + rows, end)
+                block = buf[: hi - lo + 1]
+                block[0] = out
+                t = block[1:]
+                if first == 0:  # family 1: tau * lambda + 1
+                    # the same products as np.multiply, without its buffered copy of a broadcast operand
+                    np.einsum("i,j->ij", tau[lo:hi], x, out=t)
+                    t += 1.0
+                else:  # family 2: sigma + lambda
+                    np.add(sigma[lo:hi, None], x, out=t)
+                np.divide(c[lo:hi, None], t, out=t)
+                np.add.reduce(block, axis=0, out=out)
+    out = out.reshape(arr.shape)
     return float(out) if scalar else out

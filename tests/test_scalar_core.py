@@ -37,7 +37,6 @@ from glfrac import (
     select_n,
     sinc_baseline_error,
 )
-from glfrac.scalar_core import _ONE_SHOT_POINTS
 
 ALPHAS = (0.25, 0.5, 0.75)
 
@@ -305,6 +304,7 @@ def test_select_n_sandwich(alpha, log_tol):
     tol = 10.0**log_tol
     n, est = select_n(alpha, tol)
     assert est.value <= tol
+    assert est == estimate_operator_error(n, alpha)  # the probes' arithmetic is the public estimate's
     if n > 1:
         assert estimate_operator_error(n - 1, alpha).value > tol
 
@@ -457,6 +457,40 @@ def test_rational_form_validation():
         with pytest.raises(ValueError, match="shape"):
             RationalForm(0.5, "full", 3, 3, 3, 3, bad)
 
+    def refused(meta, arrays, row, j, value):
+        changed = arrays.copy()
+        changed[row, j] = value
+        with pytest.raises(ValueError) as info:
+            RationalForm(*meta, changed)
+        return str(info.value)
+
+    layout = "family 1 must have sigma == 1 and family 2 tau == 1"
+    coefficients = "coefficients must be finite and nonnegative"
+    shifts = "shifts must lie in [0, 1)"
+    # the family seam, columns 2 (last of family 1) and 3 (first of family 2),
+    # and the one column of each family of a k1 = k2 = 1 form
+    one = build_rational(0.5, plan_full(1))
+    for meta, arrays, last1, first2 in (((0.5, "full", 3, 3, 3, 3), terms, 2, 3),
+                                        ((0.5, "full", 1, 1, 1, 1), one.term_arrays, 0, 1)):
+        RationalForm(*meta, arrays)
+        for row, j, value, message in (
+            (0, last1, math.nan, coefficients),
+            (0, last1, -1.0, coefficients),
+            (0, first2, math.nan, coefficients),
+            (0, first2, math.inf, coefficients),
+            (1, last1, math.nan, layout),
+            (1, last1, 0.5, layout),
+            (1, first2, math.nan, shifts),
+            (1, first2, 1.0, shifts),
+            (2, last1, math.nan, shifts),
+            (2, last1, -0.5, shifts),
+            (2, first2, math.nan, layout),
+            (2, first2, 0.5, layout),
+        ):
+            assert refused(meta, arrays, row, j, value) == message, (meta, row, j, value)
+    assert refused((0.5, "full", 1, 1, 1, 1), one.term_arrays, 0, 0, 0.0) == "leading coefficients must be positive"
+    assert refused((0.5, "full", 1, 1, 1, 1), one.term_arrays, 0, 1, 0.0) == "leading coefficients must be positive"
+
 
 def test_plan_retained_counts_are_integers():
     # a float count used to pass the plan and fail later, slicing in build_rational
@@ -573,11 +607,14 @@ def test_eval_scalar_vector_matches_scalar():
     for fam, _, c, sigma, tau in terms:
         acc = acc + (c / (1.0 + tau * lams) if fam == 1 else c / (sigma + lams))
     assert eval_scalar(form, lams).tolist() == acc.tolist()
-    # both evaluation paths, one (points, terms) array up to _ONE_SHOT_POINTS
-    # points and term by term above, equal a term-by-term sum over terms() to
-    # the last bit, in any input shape
+    # every path, one point, (terms x points) blocks within one family and one
+    # term at a time above 2**14 points, equals a term-by-term sum over terms()
+    # to the last bit, in any input shape; the forms include k1 = 1, k2 = 1,
+    # and a family 1 of exactly one block at 2**15 // k1 = 1024 points
+    seamed = [build_rational(0.5, TruncationPlan("balanced", 60, 60, k1, k2))
+              for k1, k2 in ((1, 50), (50, 1), (32, 20))]
     for form in (build_rational(0.5, plan_full(3)), form, build_rational(0.25, plan_full(200)),
-                 build_rational(0.5, plan_full(500))):
+                 build_rational(0.5, plan_full(500)), *seamed):
         terms = list(form.terms())
         k = len(terms)
 
@@ -587,17 +624,28 @@ def test_eval_scalar_vector_matches_scalar():
                 acc = acc + c / (sigma + tau * x)
             return acc
 
-        sizes = [1, 2, 2**15 // k, 2**15 // k + 1, _ONE_SHOT_POINTS, _ONE_SHOT_POINTS + 1, 1000]
+        sizes = [0, 1, 2, 3, 400, 2**15 // k, 2**15 // k + 1, 2**15 // form.k1, 2**14, 2**14 + 1, 25000]
         sizes += [100_000] if k < 10 else []
         for m in sizes:
             lams = np.logspace(0.0, 14.0, m)
-            assert eval_scalar(form, lams).tolist() == reference(lams).tolist()
+            assert eval_scalar(form, lams).tolist() == reference(lams).tolist(), (k, m)
         grids = (np.logspace(0.0, 9.0, 12).reshape(3, 4), np.logspace(0.0, 9.0, 300).reshape(20, 15))
         for lams in (5.0, np.array(5.0), *grids, np.empty(0), np.empty((3, 0))):
             value = eval_scalar(form, lams)
             assert np.shape(value) == np.shape(lams)
             assert np.asarray(value).tolist() == reference(np.asarray(lams)).tolist()
         assert type(eval_scalar(form, np.array(5.0))) is float
+    # at lambda = 1 this form's terms are 1 and then forty of 0.75 ulp(1) / 2:
+    # added in order, each rounds away and the sum is 1, but a pairwise sum,
+    # which numpy uses when it reduces along the fast axis (a one-column
+    # block), adds the small terms up first and gives more
+    arrays = np.zeros((3, 41))
+    arrays[0] = [1.0, *[0.75 * 2.0**-53] * 40]
+    arrays[1, 0] = arrays[2, 1:] = 1.0
+    small = RationalForm(0.5, "full", 1, 40, 1, 40, arrays)
+    assert np.add.reduce(arrays[0]) > 1.0
+    assert eval_scalar(small, 1.0) == 1.0
+    assert eval_scalar(small, [1.0, 1.0]).tolist() == [1.0, 1.0]
 
 
 def test_eval_scalar_within_estimate_at_one():
