@@ -1,10 +1,10 @@
 """Print one sha256 per CLI table, to show that a change keeps the CLI's bytes.
 
 Runs the benchmark's figure-sweep commands (read from bench/workloads.py),
-EXTRA_COMMANDS, THREADED_COMMANDS each serially and with --parallel,
+EXTRA_COMMANDS, THREADED_COMMANDS each without and with --parallel,
 DENSE_COMMAND and scripts/run_figures.py in-process, through whichever
 glfrac comes first on the import path, and prints "<sha256> <exit code>
-<table>" per table. A --parallel line must equal its serial twin. Comparing
+<table>" per table. A --parallel line must equal its twin without the flag. Comparing
 two checkouts is then one diff:
 
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/cli_digests.py > before.txt
@@ -68,12 +68,13 @@ EXTRA_COMMANDS = (
 DENSE_COMMAND = ("apply", "--op", "dense:{path}", "--alpha", "0.5", "--n", "45", "--variant", "full", "--seed", "5")
 DENSE_LABEL = "FD1D12"
 
-# Commands whose output must not depend on --parallel. A diagonal handle cuts
-# its rows into ceil(rows / 2**15) ranges either way: diagpow:20000:2 is one
-# range, which runs on the calling thread, and diagpow:70000:2 is three, which
-# run on a pool. The Kronecker sum does the same in its eigenbasis: fd2d:20 is
-# one range, and fd2d:182 (33124 rows) two, on a pool. fd1d solves the
-# right-hand side as one piece on the calling thread.
+# Commands whose output must not depend on --parallel, which apply accepts and
+# ignores: every apply runs on the calling thread, so each --parallel twin pins
+# that the flag is accepted and changes no byte. A diagonal handle cuts its rows
+# into ceil(rows / 2**15) ranges, evaluated in turn: diagpow:20000:2 is one
+# range and diagpow:70000:2 three. The Kronecker sum does the same in its
+# eigenbasis: fd2d:20 is one range, and fd2d:182 (33124 rows) two. fd1d solves
+# the right-hand side as one piece.
 THREADED_COMMANDS = tuple(
     ("apply", "--op", op, "--alpha", alpha, "--n", "40", "--variant", variant, "--seed", "5")
     for op, alpha, variant in itertools.product(("diagpow:20000:2", "diagpow:70000:2", "fd1d:300", "fd2d:20",

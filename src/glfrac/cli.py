@@ -191,7 +191,7 @@ def _cmd_apply(args):
     else:
         b = np.random.default_rng(args.seed).standard_normal(op.dimension)
     form = build_rational(args.alpha, _plan_for(args.variant, args.n, args.alpha))
-    x = apply_fractional_inverse(op, b, form, parallel=args.parallel)
+    x = apply_fractional_inverse(op, b, form)
     _write(map(_cell, x), args.out)
     return 0
 
@@ -272,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("full", "balanced", "equalized"), default="full")
     p.add_argument("--rhs", help="path to the right-hand side, one float per line")
     p.add_argument("--seed", type=int, default=0, help="rng seed for a random right-hand side")
-    p.add_argument("--parallel", action="store_true")
+    p.add_argument("--parallel", action="store_true", help="accepted and ignored: every apply runs on the calling thread")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_apply)
 

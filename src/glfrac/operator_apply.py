@@ -11,26 +11,24 @@ result is multiplied back by lambda_min**(-alpha), which keeps the scalar
 error estimates valid verbatim.
 
 scipy.linalg is imported by the first tridiagonal, dense or Kronecker-sum
-handle built, or the first solve, and concurrent.futures by the first
-parallel diagonal apply that starts a pool: their names below are stand-ins
-from quadrature._lazy, and the two tridiagonal eigensolvers are quadrature's
-own. A diagonal handle and its applies never load scipy.
+handle built, or the first solve: its names below are stand-ins from
+quadrature._lazy, and the two tridiagonal eigensolvers are quadrature's own.
+A diagonal handle and its applies never load scipy. Every apply runs on the
+calling thread.
 """
 
 import math
-import os
 from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .quadrature import _lazy, _real, eigh_tridiagonal, eigvalsh_tridiagonal, is_int_in, is_real
+from .quadrature import _lazy, _real, eigh_tridiagonal, eigvalsh_tridiagonal, is_int_in, is_real, read_only_copy
 from .scalar_core import _BLOCK, RationalForm, eval_scalar
 
 cho_factor = _lazy("scipy.linalg", "cho_factor")
 cho_solve = _lazy("scipy.linalg", "cho_solve")
 eigvalsh = _lazy("scipy.linalg", "eigvalsh")
 dptsv = _lazy("scipy.linalg.lapack", "dptsv")
-ThreadPoolExecutor = _lazy("concurrent.futures", "ThreadPoolExecutor")
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -133,12 +131,12 @@ class OperatorHandle(ABC):
 
 
 class DiagonalOperator(OperatorHandle):
-    """diag(eigenvalues); solves are row-wise divisions."""
+    """diag(eigenvalues); solves are row-wise divisions. The handle keeps a read-only copy of eigenvalues."""
 
     diagonal = True
 
     def __init__(self, eigenvalues):
-        eigenvalues = _real("eigenvalues", eigenvalues)
+        eigenvalues = read_only_copy("eigenvalues", eigenvalues)
         if eigenvalues.ndim != 1 or eigenvalues.size == 0:
             raise ValueError("eigenvalues must be a nonempty vector")
         _check_finite("eigenvalues", eigenvalues)
@@ -160,12 +158,13 @@ class TridiagonalOperator(OperatorHandle):
     Each term is one ptsv call, O(m r), plus a few microseconds of Python. The
     smallest eigenvalue is computed once at construction. A lambda_min known in
     closed form may be passed instead: the handle's rule checks it first, and it
-    is kept if it exceeds the computed one by at most 4 eps ||T||_1.
+    is kept if it exceeds the computed one by at most 4 eps ||T||_1. The
+    handle keeps read-only copies of diag and off.
     """
 
     def __init__(self, diag, off, lambda_min: float | None = None):
-        diag = _real("main diagonal", diag)
-        off = _real("off-diagonal", off)
+        diag = read_only_copy("main diagonal", diag)
+        off = read_only_copy("off-diagonal", off)
         if diag.ndim != 1 or diag.size < 1 or off.shape != (diag.size - 1,):
             raise ValueError("need a main diagonal of length m and an off-diagonal of length m - 1")
         _check_finite("main diagonal", diag)
@@ -206,13 +205,16 @@ class DenseOperator(OperatorHandle):
     lambda_min must be supplied by the caller (it is spectral information
     the matrix does not reveal cheaply). One Cholesky factorization of
     A - (1 - 1e-12) lambda_min I at construction checks that it is a
-    lower bound of the spectrum, and so that A is positive definite.
+    lower bound of the spectrum, and so that A is positive definite. The
+    handle keeps a read-only copy of the matrix.
     """
 
     def __init__(self, matrix, lambda_min: float):
-        matrix = _real("matrix entries", matrix)
+        matrix = read_only_copy("matrix entries", matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
+        if matrix.size == 0:
+            raise ValueError("matrix must be nonempty")
         _check_dense_dim(matrix.shape[0])
         _check_finite("matrix entries", matrix)
         # atol scales with the entries, so a matrix is refused or accepted whatever its units
@@ -315,7 +317,9 @@ def builtin_operator(kind: str, **params) -> OperatorHandle:
     if kind == "diag-power":
         if not is_real(params["exponent"]):
             raise ValueError(f"exponent must be a finite real number, got {params['exponent']!r}")
-        return DiagonalOperator(np.arange(1.0, params["size"] + 1.0) ** float(params["exponent"]))
+        with np.errstate(over="ignore"):  # an overflow to inf is refused by DiagonalOperator's finite check
+            eigenvalues = np.arange(1.0, params["size"] + 1.0) ** float(params["exponent"])
+        return DiagonalOperator(eigenvalues)
     diag, off, lam_min = _fd1d_stencil(params["m"])
     t = TridiagonalOperator(diag, off, lambda_min=lam_min)
     return t if kind == "fd-laplacian-1d" else KroneckerSumOperator(t)
@@ -334,18 +338,14 @@ def apply_fractional_inverse(
     (dim, r), mapped into the handle's basis and back once each. A node's
     solve against L / lambda_min is the solve (sigma I + (tau / lambda_min) L) X = B.
     A handle that is not diagonal solves the whole block with one call of its
-    _solve per term, on the calling thread whatever parallel says, and the
-    solutions are added up in the order of form.terms().
+    _solve per term, and the solutions are added up in the order of form.terms().
 
     A diagonal handle makes no solve: in its basis, row i of the result is row
     i of B times lambda_min**(-alpha) * eval_scalar(form, eigenvalues[i] /
     lambda_min), one evaluation for all r columns. Its rows go into ceil(rows / _BLOCK)
-    near-equal ranges, each a piece whose temporaries stay in cache. A serial
-    apply has one worker, a parallel one has max_workers (default
-    os.cpu_count()); the pieces run on a pool of min(workers, pieces) threads
-    when that is more than one, otherwise in turn on the calling thread. Every
-    row goes through the same operations in the same order either way, so
-    parallel output is bit-identical to serial output.
+    near-equal ranges, each a piece whose temporaries stay in cache, evaluated
+    in turn. parallel and max_workers are validated and select nothing: every
+    apply runs on the calling thread, so the output never depends on them.
     """
     if not isinstance(parallel, (bool, np.bool_)):
         raise ValueError(f"parallel must be a bool, got {parallel!r}")
@@ -364,24 +364,13 @@ def apply_fractional_inverse(
             out += c * sol
         out *= scale
         return op._from_basis(out).reshape(b.shape)
-
-    def evaluate(lo, hi):
-        f = eval_scalar(form, op.eigenvalues[lo:hi] / op.lambda_min)
-        f *= scale
-        np.multiply(block[lo:hi], f[:, None], out=out[lo:hi])
-
     rows = op.dimension
     p = math.ceil(rows / _BLOCK)
     bounds = [i * rows // p for i in range(p + 1)]
-    pieces = zip(bounds, bounds[1:])
-    threads = min((max_workers or os.cpu_count() or 1) if parallel else 1, p)
-    if threads == 1:
-        for lo, hi in pieces:
-            evaluate(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for future in [pool.submit(evaluate, lo, hi) for lo, hi in pieces]:
-                future.result()
+    for lo, hi in zip(bounds, bounds[1:]):
+        f = eval_scalar(form, op.eigenvalues[lo:hi] / op.lambda_min)
+        f *= scale
+        np.multiply(block[lo:hi], f[:, None], out=out[lo:hi])
     return op._from_basis(out).reshape(b.shape)
 
 

@@ -15,7 +15,7 @@ settings.load_profile("numeric")
 
 @pytest.fixture
 def count_solves(monkeypatch):
-    """A list that gets (type(handle), handle.dimension) for every shifted solve, on any thread.
+    """A list that gets (type(handle), handle.dimension) for every shifted solve.
 
     Each stock handle's _solve records one entry per call, so a shifted_solve
     records one too. KroneckerSumOperator inherits DiagonalOperator's, so it is
@@ -25,7 +25,7 @@ def count_solves(monkeypatch):
 
     def counted(solve):
         def wrapper(self, sigma, tau, b):
-            calls.append((type(self), self.dimension))  # list.append is atomic under the GIL
+            calls.append((type(self), self.dimension))
             return solve(self, sigma, tau, b)
 
         return wrapper

@@ -267,7 +267,7 @@ def test_criterion_10_cli_determinism():
         ["scalar-error", "--alpha", "0.5", "--lam", "10", "--nmax", "15"],
         ["matrix-error", "--alpha", "0.25", "--nmax", "8", "--op", "fd1d:12"],
         ["apply", "--op", "fd2d:5", "--alpha", "0.75", "--n", "12", "--seed", "11", "--parallel"],
-        # 70000 rows split into 3 row ranges on a pool
+        # 70000 rows split into 3 row ranges, evaluated in turn
         ["apply", "--op", "diagpow:70000:2", "--alpha", "0.5", "--n", "20", "--seed", "11", "--parallel"],
         ["compare", "--alpha", "0.5", "--spectrum", "diagpow:50:8", "--solves", "11,21"],
     ]

@@ -111,7 +111,7 @@ def test_apply_seeded_rhs_deterministic(tmp_path):
 
 
 def test_apply_parallel_prints_serial_bytes(capsys):
-    # a vector on a diagonal handle splits into row ranges when parallel
+    # --parallel is accepted and selects nothing: the same bytes as without it
     argv = ["apply", "--op", "diagpow:5000:2", "--alpha", "0.5", "--n", "20", "--seed", "3"]
     assert main(argv) == 0
     serial = capsys.readouterr().out

@@ -1,6 +1,6 @@
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -134,12 +134,12 @@ def _diagonal_inits(monkeypatch):
 
 
 def _evaluations(monkeypatch):
-    """A list that gets the number of points of every eval_scalar call an apply makes, on any thread."""
+    """A list that gets the number of points of every eval_scalar call an apply makes."""
     sizes = []
     evaluate = operator_apply.eval_scalar
 
     def spy(form, lam):
-        sizes.append(np.size(lam))  # list.append is atomic under the GIL
+        sizes.append(np.size(lam))
         return evaluate(form, lam)
 
     monkeypatch.setattr(operator_apply, "eval_scalar", spy)
@@ -198,7 +198,7 @@ def test_diagonal_apply_matches_per_term_solves():
 def test_parallel_coupled_vector_runs_without_a_pool(monkeypatch):
     # a coupled handle solves any B, vector or block, as one piece on the calling thread,
     # and so does a diagonal handle of at most 2**15 rows, the work floor
-    monkeypatch.setattr(operator_apply, "ThreadPoolExecutor", None)
+    evaluations = _evaluations(monkeypatch)
     form = _form(0.5, 10)
     for kind in ("tridiagonal", "dense", "kronecker"):
         op = _handles()[kind]
@@ -212,21 +212,32 @@ def test_parallel_coupled_vector_runs_without_a_pool(monkeypatch):
     for rows in (1, 1000, 2**15):
         op = builtin_operator("diag-power", size=rows, exponent=2.0)
         for b in (rng.standard_normal(rows), rng.standard_normal((rows, 3))):
+            evaluations.clear()
             threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
+            assert evaluations == [rows], (rows, b.shape)
             assert np.array_equal(threaded, apply_fractional_inverse(op, b, form)), (rows, b.shape)
-    # one row more is two row ranges, on one pool of two threads
-    pools = []
-
-    def pool(max_workers):
-        pools.append(max_workers)
-        return ThreadPoolExecutor(max_workers=max_workers)
-
-    monkeypatch.setattr(operator_apply, "ThreadPoolExecutor", pool)
+    # one row more is two near-equal row ranges, evaluated in turn
     op = builtin_operator("diag-power", size=2**15 + 1, exponent=2.0)
     b = rng.standard_normal(op.dimension)
+    evaluations.clear()
     threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
-    assert pools == [2]
+    assert evaluations == [16384, 16385]
     assert np.array_equal(threaded, apply_fractional_inverse(op, b, form))
+
+
+def test_no_apply_starts_a_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"an apply started a thread: {self!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    form = _form(0.5, 10)
+    rng = np.random.default_rng(5)
+    for op in (builtin_operator("diag-power", size=2**15 + 1, exponent=2.0),
+               builtin_operator("diag-power", size=70_000, exponent=2.0),
+               builtin_operator("fd-laplacian-2d", m=182), builtin_operator("fd-laplacian-1d", m=1000)):
+        for b in (rng.standard_normal(op.dimension), rng.standard_normal((op.dimension, 2))):
+            threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
+            assert np.array_equal(threaded, apply_fractional_inverse(op, b, form)), (op.dimension, b.shape)
 
 
 @pytest.mark.parametrize("parallel", [False, True])
@@ -243,8 +254,7 @@ def test_max_workers_validated(parallel):
 
 
 def test_parallel_validated(monkeypatch, count_solves):
-    # refused before any work: a truthy non-bool would otherwise start a pool on 70000 rows
-    monkeypatch.setattr(operator_apply, "ThreadPoolExecutor", None)
+    # refused before any work, on 70000 rows as on a coupled handle
     evaluations = _evaluations(monkeypatch)
     form = _form(0.5, 5)
     for op in (builtin_operator("diag-power", size=70_000, exponent=2.0), builtin_operator("fd-laplacian-1d", m=5)):
@@ -633,6 +643,40 @@ def test_dense_rejects_non_finite_entries():
         DenseOperator(a, lambda_min=0.5)
 
 
+def test_dense_rejects_an_empty_matrix():
+    # refused by name before the symmetry test, whose scale would be the maximum of no entries
+    with pytest.raises(ValueError, match="^matrix must be nonempty$"):
+        DenseOperator(np.zeros((0, 0)), lambda_min=1.0)
+
+
+def test_diag_power_overflow_is_refused_without_a_warning():
+    # the suite turns warnings into errors, so numpy's overflow warning would fail this test
+    with pytest.raises(ValueError, match=r"^eigenvalues must be finite: 5 of 10 .* index 5$"):
+        builtin_operator("diag-power", size=10, exponent=400.0)
+
+
+def test_handles_keep_read_only_copies_of_their_arrays():
+    ev = np.array([1.0, 2.0, 3.0])
+    diag, off = np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0])
+    a = np.array([[2.0, 1.0], [1.0, 2.0]])
+    handles = (DiagonalOperator(ev), TridiagonalOperator(diag, off), DenseOperator(a, lambda_min=1.0))
+    b = np.array([1.0, -2.0, 0.5])
+    form = _form(0.5, 10)
+    before = [(op.spectrum(), apply_fractional_inverse(op, b[:op.dimension], form)) for op in handles]
+    # a write to the caller's array after construction reaches no handle
+    ev[1] = np.nan
+    diag[0] = -5.0
+    off[:] = 100.0
+    a[0, 1] = 100.0
+    for op, (spectrum, x) in zip(handles, before):
+        assert np.array_equal(op.spectrum(), spectrum), type(op).__name__
+        assert np.array_equal(apply_fractional_inverse(op, b[:op.dimension], form), x), type(op).__name__
+    # and the handle's own arrays refuse writes
+    for array in (handles[0].eigenvalues, handles[1].diag, handles[1].off, handles[2].matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def test_tridiagonal_rejects_non_finite_entries():
     with pytest.raises(ValueError, match="main diagonal must be finite: 2 of 3 .* index 1$"):
         TridiagonalOperator([2.0, np.nan, np.inf], [-1.0, -1.0])
@@ -685,14 +729,14 @@ def test_fd1d_closed_form_lambda_min_accepted():
 def test_tridiagonal_indefinite_shift_raises():
     # the constructor refuses an indefinite matrix, so make it indefinite afterwards
     op = TridiagonalOperator(np.array([2.0, 2.0]), np.array([-1.0]))
-    op.diag[:] = 1.0
-    op.off[:] = -2.0  # eigenvalues -1, 3
+    op.diag = np.array([1.0, 1.0])  # the handle's own arrays are read-only, so rebind them
+    op.off = np.array([-2.0])  # eigenvalues -1, 3
     with pytest.raises(NotPositiveDefiniteError) as info:
         op.shifted_solve(0.0, 1.0, np.ones(2))
     assert str(info.value) == ("operator not positive definite: sigma=0.0, tau=1.0: "
                                "leading minor of order 2 not positive definite")
     op = TridiagonalOperator([2.0], [])
-    op.diag[:] = -1.0
+    op.diag = np.array([-1.0])
     with pytest.raises(NotPositiveDefiniteError) as info:
         op.shifted_solve(0.5, 1.0, np.ones(1))
     assert str(info.value) == ("operator not positive definite: sigma=0.5, tau=1.0: "
