@@ -4,7 +4,10 @@ Runs the benchmark's figure-sweep commands (read from bench/workloads.py),
 EXTRA_COMMANDS, THREADED_COMMANDS each without and with --parallel,
 DENSE_COMMAND and scripts/run_figures.py in-process, through whichever
 glfrac comes first on the import path, and prints "<sha256> <exit code>
-<table>" per table. A --parallel line must equal its twin without the flag. Comparing
+<table>" per table. A --parallel line must equal its twin without the flag.
+Then it prints one line per pass of repeated applies through each of two diagonal
+handles (repeat_apply_digests), which a handle may answer from the multipliers
+it keeps: those lines must match a checkout that evaluates every apply. Comparing
 two checkouts is then one diff:
 
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/cli_digests.py > before.txt
@@ -30,7 +33,7 @@ sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "scripts")]
 import glfrac  # noqa: E402
 import run_figures  # noqa: E402
 from glfrac.cli import main as cli_main  # noqa: E402
-from workloads import FigureSweep  # noqa: E402
+from workloads import ApplyMix, FigureSweep  # noqa: E402
 
 # eval_scalar sums one point in one pass, 2 to 2**14 points in (terms x
 # points) blocks of at most 2**15 elements within one family, and more term
@@ -81,6 +84,14 @@ THREADED_COMMANDS = tuple(
                                                  "fd2d:182"),
                                                 ("0.25", "0.75"), ("balanced", "equalized")))
 
+# Passes of applies through one handle each for these two operators: apply-mix's
+# twelve forms, then 17 full forms, more than a diagonal handle keeps, then the
+# twelve again. Each form is applied to a vector and then to a 3-column block, so
+# the first pass meets each of the twelve twice and the last pass after they
+# were dropped.
+REPEAT_OPERATORS = (("diagpow:100000:2", "diag-power", {"size": 100_000, "exponent": 2.0}),
+                    ("fd2d:20", "fd-laplacian-2d", {"m": 20}))
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -107,6 +118,28 @@ def dense_digests():
         return [line.replace(str(path), DENSE_LABEL)]
 
 
+def repeat_apply_digests():
+    """One line per pass of REPEAT_OPERATORS' applies: the digest of the pass's outputs."""
+    plans = {"balanced": glfrac.plan_balanced, "equalized": glfrac.plan_equalized}
+    mix = []
+    for alpha, tol, variant in dict.fromkeys((a, t, v) for _, a, t, v, _ in ApplyMix.GRID):
+        n, _ = glfrac.select_n(alpha, tol)
+        mix.append(glfrac.build_rational(alpha, plans[variant](n, alpha)))
+    others = [glfrac.build_rational(0.5, glfrac.plan_full(n)) for n in range(5, 22)]
+    lines = []
+    for label, kind, params in REPEAT_OPERATORS:
+        op = glfrac.builtin_operator(kind, **params)
+        rng = np.random.default_rng(5)
+        rhs = (rng.standard_normal(op.dimension), rng.standard_normal((op.dimension, 3)))
+        for i, forms in enumerate((mix, others, mix), 1):
+            digest = hashlib.sha256()
+            for form in forms:
+                for b in rhs:
+                    digest.update(glfrac.apply_fractional_inverse(op, b, form).tobytes())
+            lines.append(f"{digest.hexdigest()} 0 repeat-apply {label} pass {i}")
+    return lines
+
+
 def figure_digests():
     """One line per file that scripts/run_figures.py writes."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
@@ -119,7 +152,7 @@ def main() -> int:
     print(f"glfrac from {Path(glfrac.__file__).parent}", file=sys.stderr)
     threaded = [variant for argv in THREADED_COMMANDS for variant in (argv, (*argv, "--parallel"))]
     commands = (*FigureSweep.COMMANDS, *EXTRA_COMMANDS, *threaded)
-    for line in (*command_digests(commands), *dense_digests(), *figure_digests()):
+    for line in (*command_digests(commands), *dense_digests(), *figure_digests(), *repeat_apply_digests()):
         print(line)
     return 0
 

@@ -5,7 +5,9 @@ with sigma, tau >= 0, for a vector or a block B, so any operator that can
 solve them in term order plugs in through OperatorHandle. On a handle that is
 diagonal in a basis of its own (the Kronecker sum in its eigenbasis) each such
 solve is one division per row, so an apply there evaluates the form on the
-eigenvalues instead, with eval_scalar, and scales the rows of B.
+eigenvalues instead, with eval_scalar, and scales the rows of B. Those scaled
+values depend on the handle and the form alone, so the handle keeps them for
+the forms it met last, and a repeated apply is one row scaling.
 The form is applied to L / lambda_min, whose spectrum starts at 1, and the
 result is multiplied back by lambda_min**(-alpha), which keeps the scalar
 error estimates valid verbatim.
@@ -18,7 +20,9 @@ calling thread.
 """
 
 import math
+import threading
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 
 import numpy as np
 
@@ -48,6 +52,10 @@ __all__ = [
 # of dense_fractional_inverse. No other handle assembles one, so applies through
 # the diagonal, tridiagonal and Kronecker-sum handles are not capped.
 DENSE_DIM_CAP = 2000
+
+# How many forms' scaled values a diagonal handle keeps, the most recently used:
+# 8 bytes per row each, so at most 128 bytes per row, 12.8 MB on a 1e5-row handle.
+_KEPT_FORMS = 16
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -131,7 +139,16 @@ class OperatorHandle(ABC):
 
 
 class DiagonalOperator(OperatorHandle):
-    """diag(eigenvalues); solves are row-wise divisions. The handle keeps a read-only copy of eigenvalues."""
+    """diag(eigenvalues); solves are row-wise divisions. The handle keeps a read-only copy of eigenvalues.
+
+    An apply scales row i of B by lambda_min**(-alpha) * eval_scalar(form,
+    eigenvalues[i] / lambda_min). The handle keeps these multipliers, read-only,
+    for the _KEPT_FORMS forms it applied last, keyed by the form's content
+    (alpha, k1 and the bytes of term_arrays) and lambda_min: a form rebuilt
+    with the same terms finds them, and an entry made before eigenvalues was
+    rebound is not used. One lock guards the map, so applies from several
+    threads may share the handle; two of them may compute one entry twice.
+    """
 
     diagonal = True
 
@@ -144,12 +161,41 @@ class DiagonalOperator(OperatorHandle):
             raise NotPositiveDefiniteError("operator not positive definite")
         super().__init__(eigenvalues.size, float(eigenvalues.min()))
         self.eigenvalues = eigenvalues
+        self._kept, self._kept_lock = OrderedDict(), threading.Lock()
 
     def spectrum(self):
         return np.sort(self.eigenvalues)
 
     def _solve(self, sigma, tau, b):
         return b / (sigma + tau * self.eigenvalues)[:, None]
+
+    def _multiplier(self, form: RationalForm) -> np.ndarray:
+        """The read-only row multipliers of an apply of form, kept or computed.
+
+        A computed one takes ceil(rows / _BLOCK) near-equal row ranges, one
+        eval_scalar call each, so that each piece's temporaries stay in cache.
+        """
+        eigenvalues, lambda_min = self.eigenvalues, self.lambda_min
+        key = (form.alpha, form.k1, form.term_arrays.tobytes(), lambda_min)
+        with self._kept_lock:
+            kept = self._kept.get(key)
+            if kept is not None and kept[0] is eigenvalues:
+                self._kept.move_to_end(key)
+                return kept[1]
+        rows = eigenvalues.size
+        p = math.ceil(rows / _BLOCK)
+        bounds = [i * rows // p for i in range(p + 1)]
+        f = np.empty(rows)
+        for lo, hi in zip(bounds, bounds[1:]):
+            f[lo:hi] = eval_scalar(form, eigenvalues[lo:hi] / lambda_min)
+        f *= lambda_min ** (-form.alpha)
+        f.setflags(write=False)
+        with self._kept_lock:
+            self._kept[key] = eigenvalues, f
+            self._kept.move_to_end(key)
+            if len(self._kept) > _KEPT_FORMS:
+                self._kept.popitem(last=False)
+        return f
 
 
 class TridiagonalOperator(OperatorHandle):
@@ -270,8 +316,10 @@ class KroneckerSumOperator(DiagonalOperator):
         # scipy's default driver, divide and conquer (dstevd), not the MRRR of the
         # quadrature rules: fast diagonalization needs Q orthogonal to eps, and at
         # m = 1000 MRRR leaves |Q^T Q - I| at 2.6e-13 against 2.3e-15
-        mu, self._q = eigh_tridiagonal(t.diag, t.off)
-        self.eigenvalues = np.maximum(np.add.outer(mu, mu).ravel(), self.lambda_min)
+        mu, q = eigh_tridiagonal(t.diag, t.off)
+        self._q = read_only_copy("eigenbasis", q)
+        self.eigenvalues = read_only_copy("eigenvalues", np.maximum(np.add.outer(mu, mu).ravel(), self.lambda_min))
+        self._kept, self._kept_lock = OrderedDict(), threading.Lock()
 
     def _to_basis(self, b):
         m, r = self.t.dimension, b.shape[1]
@@ -342,10 +390,12 @@ def apply_fractional_inverse(
 
     A diagonal handle makes no solve: in its basis, row i of the result is row
     i of B times lambda_min**(-alpha) * eval_scalar(form, eigenvalues[i] /
-    lambda_min), one evaluation for all r columns. Its rows go into ceil(rows / _BLOCK)
-    near-equal ranges, each a piece whose temporaries stay in cache, evaluated
-    in turn. parallel and max_workers are validated and select nothing: every
-    apply runs on the calling thread, so the output never depends on them.
+    lambda_min), one evaluation for all r columns. The handle keeps these
+    multipliers for the forms it applied last (DiagonalOperator), so a repeated
+    form, or one rebuilt with the same terms, costs one row scaling and no
+    evaluation, with the same bits. parallel and max_workers are validated and
+    select nothing: every apply runs on the calling thread, so the output never
+    depends on them.
     """
     if not isinstance(parallel, (bool, np.bool_)):
         raise ValueError(f"parallel must be a bool, got {parallel!r}")
@@ -353,24 +403,16 @@ def apply_fractional_inverse(
         raise ValueError(f"max_workers must be None or an integer >= 1, got {max_workers!r}")
     b = op._check_rhs(b)
     block = op._to_basis(b.reshape(op.dimension, -1))
-    scale = op.lambda_min ** (-form.alpha)
+    if op.diagonal:
+        return op._from_basis(np.multiply(block, op._multiplier(form)[:, None])).reshape(b.shape)
     out = np.zeros(block.shape)
-    if not op.diagonal:
-        for fam, j, c, s, t in form.terms():
-            try:
-                sol = op._solve(s, t / op.lambda_min, block)
-            except Exception as exc:
-                raise RuntimeError(f"shifted solve failed (family {fam}, node {j}): {exc}") from exc
-            out += c * sol
-        out *= scale
-        return op._from_basis(out).reshape(b.shape)
-    rows = op.dimension
-    p = math.ceil(rows / _BLOCK)
-    bounds = [i * rows // p for i in range(p + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        f = eval_scalar(form, op.eigenvalues[lo:hi] / op.lambda_min)
-        f *= scale
-        np.multiply(block[lo:hi], f[:, None], out=out[lo:hi])
+    for fam, j, c, s, t in form.terms():
+        try:
+            sol = op._solve(s, t / op.lambda_min, block)
+        except Exception as exc:
+            raise RuntimeError(f"shifted solve failed (family {fam}, node {j}): {exc}") from exc
+        out += c * sol
+    out *= op.lambda_min ** (-form.alpha)
     return op._from_basis(out).reshape(b.shape)
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import sys
 import threading
 
 import numpy as np
@@ -88,10 +90,10 @@ def test_parallel_output_bit_identical(monkeypatch, count_solves):
     count_solves.clear()
     apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
     assert len(count_solves) == 60
-    # a diagonal handle's B splits into ceil(rows / 2**15) row ranges whatever the
-    # worker count, and each range evaluates the form once; so does the Kronecker sum's
-    # in its eigenbasis (fd2d:182 has 33124 rows, two ranges); any other handle's B is
-    # one piece that runs the whole term loop
+    # a diagonal handle's first apply of a form evaluates it on ceil(rows / 2**15) row
+    # ranges whatever the worker count, and a repeat of the form evaluates nothing; so
+    # does the Kronecker sum's in its eigenbasis (fd2d:182 has 33124 rows, two ranges);
+    # any other handle's B is one piece that runs the whole term loop on every apply
     handles = {**_handles(), "diagonal-10k": builtin_operator("diag-power", size=10_000, exponent=2.0),
                "diagonal-40k": builtin_operator("diag-power", size=40_000, exponent=2.0),
                "kronecker-182": builtin_operator("fd-laplacian-2d", m=182)}
@@ -100,10 +102,11 @@ def test_parallel_output_bit_identical(monkeypatch, count_solves):
     rng = np.random.default_rng(3)
     evaluations = _evaluations(monkeypatch)
 
-    def work(op, workers):
-        """(evaluations, solves) of one apply."""
-        rows = op.dimension
-        return (math.ceil(rows / 2**15), 0) if op.diagonal else (0, terms)
+    def work(op, first):
+        """(evaluations, solves) of one apply, the handle's first of the form or a repeat."""
+        if op.diagonal:
+            return (math.ceil(op.dimension / 2**15) if first else 0), 0
+        return 0, terms
 
     for name, op in handles.items():
         for r in (None, 0, 1, 4):
@@ -111,13 +114,13 @@ def test_parallel_output_bit_identical(monkeypatch, count_solves):
             count_solves.clear()
             evaluations.clear()
             serial = apply_fractional_inverse(op, b, form)
-            assert (len(evaluations), len(count_solves)) == work(op, 1), (name, r)
+            assert (len(evaluations), len(count_solves)) == work(op, r is None), (name, r)
             for workers in (1, 2, 3, 4):
                 count_solves.clear()
                 evaluations.clear()
                 threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=workers)
                 assert threaded.shape == serial.shape and np.array_equal(threaded, serial), (name, r, workers)
-                assert (len(evaluations), len(count_solves)) == work(op, workers), (name, r, workers)
+                assert (len(evaluations), len(count_solves)) == work(op, False), (name, r, workers)
 
 
 def _diagonal_inits(monkeypatch):
@@ -166,9 +169,12 @@ def test_diagonal_apply_runs_cache_sized_row_pieces(monkeypatch, count_solves):
     # ceil(80000 / 2**15) = 3 near-equal row ranges, one after another on the calling thread
     assert evaluations == [26666, 26667, 26667]
     assert count_solves == [] and inits == []
+    # a repeat of the form scales the rows by the multipliers the handle kept
+    evaluations.clear()
     for workers in (1, 2, 3, 4):
         threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=workers)
         assert np.array_equal(threaded, serial), workers
+    assert evaluations == []
     # each row of b times the form summed term by term on the unit spectrum, then scaled
     unit = op.eigenvalues / op.lambda_min
     reference = np.zeros(80_000)
@@ -208,13 +214,14 @@ def test_parallel_coupled_vector_runs_without_a_pool(monkeypatch):
             assert np.array_equal(threaded, apply_fractional_inverse(op, b, form)), (kind, b.shape)
         threaded = apply_fractional_inverse(op, np.eye(op.dimension), form, parallel=True, max_workers=4)
         assert np.array_equal(threaded, dense_fractional_inverse(op, form)), kind
+    # the first apply evaluates the form, and the block after it reuses the kept values
     rng = np.random.default_rng(2)
     for rows in (1, 1000, 2**15):
         op = builtin_operator("diag-power", size=rows, exponent=2.0)
-        for b in (rng.standard_normal(rows), rng.standard_normal((rows, 3))):
+        for b, evaluated in zip((rng.standard_normal(rows), rng.standard_normal((rows, 3))), ([rows], [])):
             evaluations.clear()
             threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
-            assert evaluations == [rows], (rows, b.shape)
+            assert evaluations == evaluated, (rows, b.shape)
             assert np.array_equal(threaded, apply_fractional_inverse(op, b, form)), (rows, b.shape)
     # one row more is two near-equal row ranges, evaluated in turn
     op = builtin_operator("diag-power", size=2**15 + 1, exponent=2.0)
@@ -222,7 +229,9 @@ def test_parallel_coupled_vector_runs_without_a_pool(monkeypatch):
     evaluations.clear()
     threaded = apply_fractional_inverse(op, b, form, parallel=True, max_workers=4)
     assert evaluations == [16384, 16385]
+    evaluations.clear()
     assert np.array_equal(threaded, apply_fractional_inverse(op, b, form))
+    assert evaluations == []
 
 
 def test_no_apply_starts_a_thread(monkeypatch):
@@ -289,6 +298,120 @@ def test_diagonal_equivalence_with_scalar_eval(monkeypatch, count_solves):
         # one evaluation for all columns of the identity, and no solve
         assert evaluations == [eigs.size] and count_solves == []
         assert np.array_equal(dense, np.diag(op.lambda_min ** (-form.alpha) * eval_scalar(form, eigs / op.lambda_min)))
+        # and none for a repeat, with the same bytes
+        evaluations.clear()
+        assert np.array_equal(dense_fractional_inverse(op, form), dense) and evaluations == []
+
+
+def _diag_power_fd2d():
+    """A diagonal handle with lambda_min != 1, so alpha scales its applies, and a Kronecker sum."""
+    return builtin_operator("diag-power", size=3000, exponent=1.5), builtin_operator("fd-laplacian-2d", m=9)
+
+
+def test_diagonal_handle_keeps_the_values_of_a_form(monkeypatch):
+    evaluations = _evaluations(monkeypatch)
+    for op in _diag_power_fd2d():
+        rng = np.random.default_rng(6)
+        b, block = rng.standard_normal(op.dimension), rng.standard_normal((op.dimension, 3))
+        n, _ = select_n(0.75, 1e-8)
+        x = apply_fractional_inverse(op, b, build_rational(0.75, plan_equalized(n, 0.75)))
+        assert evaluations == [op.dimension]
+        # a form rebuilt from the same plan is a new object with the same terms
+        evaluations.clear()
+        form = build_rational(0.75, plan_equalized(n, 0.75))
+        assert np.array_equal(apply_fractional_inverse(op, b, form), x) and evaluations == []
+        # a block shares the vector's entry, column by column the vector's bits
+        y = apply_fractional_inverse(op, block, form)
+        assert evaluations == []
+        assert np.array_equal(y, np.column_stack([apply_fractional_inverse(op, col, form) for col in block.T]))
+        # the kept multipliers are the handle's own, read-only
+        with pytest.raises(ValueError, match="read-only"):
+            op._multiplier(form)[0] = 0.0
+        evaluations.clear()
+
+
+def test_diagonal_handle_evaluates_a_form_it_does_not_keep(monkeypatch):
+    evaluations = _evaluations(monkeypatch)
+    form = _form(0.5, 12, "balanced")
+    terms = form.term_arrays.copy()
+    terms[0, 3] = np.nextafter(terms[0, 3], np.inf)
+    others = {"alpha": dataclasses.replace(form, alpha=0.5 + 2.0**-20), "k1": _form(0.5, 12),
+              "one ulp": dataclasses.replace(form, term_arrays=terms)}
+    assert others["k1"].k1 != form.k1
+    rebinds = {"lambda_min": lambda h: setattr(h, "lambda_min", h.lambda_min / 2.0),
+               "eigenvalues": lambda h: setattr(h, "eigenvalues", h.eigenvalues * np.linspace(1.0, 1.5, h.dimension))}
+    # a form that differs from the kept one in alpha, k1 or one bit of one term, or the kept
+    # form once lambda_min or the eigenvalues are rebound, is evaluated: the apply prints
+    # the bytes of a fresh handle that never applied the kept form
+    cases = [*((name, other, lambda h: None) for name, other in others.items()),
+             *((name, form, rebind) for name, rebind in rebinds.items())]
+    for i in range(2):
+        for name, other, rebind in cases:
+            op, fresh = _diag_power_fd2d()[i], _diag_power_fd2d()[i]
+            b = np.random.default_rng(7).standard_normal(op.dimension)
+            apply_fractional_inverse(op, b, form)
+            rebind(op)
+            rebind(fresh)
+            expected = apply_fractional_inverse(fresh, b, other)
+            evaluations.clear()
+            assert np.array_equal(apply_fractional_inverse(op, b, other), expected), (i, name)
+            assert evaluations == [op.dimension], (i, name)
+
+
+def test_diagonal_handle_keeps_the_sixteen_forms_it_used_last(monkeypatch):
+    evaluations = _evaluations(monkeypatch)
+    op = builtin_operator("diag-power", size=500, exponent=2.0)
+    b = np.random.default_rng(8).standard_normal(op.dimension)
+    forms = [_form(0.5, n) for n in range(1, 18)]
+    first = [apply_fractional_inverse(op, b, form) for form in forms]
+    assert evaluations == [op.dimension] * 17
+    # the 17th form dropped the least recently used, the first; the other sixteen are kept
+    evaluations.clear()
+    for form, x in zip(forms[1:], first[1:]):
+        assert np.array_equal(apply_fractional_inverse(op, b, form), x)
+    assert evaluations == []
+    assert np.array_equal(apply_fractional_inverse(op, b, forms[0]), first[0])
+    assert evaluations == [op.dimension]
+    # which in turn dropped the second, now the least recently used
+    evaluations.clear()
+    apply_fractional_inverse(op, b, forms[2])
+    assert evaluations == []
+    assert np.array_equal(apply_fractional_inverse(op, b, forms[1]), first[1])
+    assert evaluations == [op.dimension]
+
+
+def test_threads_share_a_diagonal_handle():
+    # four threads on two cores, each going through more forms than the handle keeps,
+    # with the interpreter switching threads as often as it can
+    op = builtin_operator("diag-power", size=20, exponent=2.0)
+    b = np.random.default_rng(9).standard_normal(op.dimension)
+    forms = [_form(alpha, n) for alpha in (0.25, 0.75) for n in range(1, 13)]
+    expected = [apply_fractional_inverse(builtin_operator("diag-power", size=20, exponent=2.0), b, form)
+                for form in forms]
+    failures = []
+
+    def work(seed):
+        order = np.random.default_rng(seed).permutation(len(forms) * 120) % len(forms)
+        try:
+            for i in order:
+                if not np.array_equal(apply_fractional_inverse(op, b, forms[i]), expected[i]):
+                    failures.append((seed, i))
+        except Exception as exc:
+            failures.append((seed, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(op._kept) == 16
 
 
 def test_dense_fractional_inverse_symmetric():
@@ -659,8 +782,9 @@ def test_handles_keep_read_only_copies_of_their_arrays():
     ev = np.array([1.0, 2.0, 3.0])
     diag, off = np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0])
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    handles = (DiagonalOperator(ev), TridiagonalOperator(diag, off), DenseOperator(a, lambda_min=1.0))
-    b = np.array([1.0, -2.0, 0.5])
+    handles = (DiagonalOperator(ev), TridiagonalOperator(diag, off), DenseOperator(a, lambda_min=1.0),
+               builtin_operator("fd-laplacian-2d", m=3))
+    b = np.array([1.0, -2.0, 0.5, 3.0, -1.5, 0.25, 2.0, -0.75, 1.0])
     form = _form(0.5, 10)
     before = [(op.spectrum(), apply_fractional_inverse(op, b[:op.dimension], form)) for op in handles]
     # a write to the caller's array after construction reaches no handle
@@ -672,7 +796,8 @@ def test_handles_keep_read_only_copies_of_their_arrays():
         assert np.array_equal(op.spectrum(), spectrum), type(op).__name__
         assert np.array_equal(apply_fractional_inverse(op, b[:op.dimension], form), x), type(op).__name__
     # and the handle's own arrays refuse writes
-    for array in (handles[0].eigenvalues, handles[1].diag, handles[1].off, handles[2].matrix):
+    for array in (handles[0].eigenvalues, handles[1].diag, handles[1].off, handles[2].matrix,
+                  handles[3].eigenvalues, handles[3]._q):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
