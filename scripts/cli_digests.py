@@ -6,9 +6,9 @@ DENSE_COMMAND and scripts/run_figures.py in-process, through whichever
 glfrac comes first on the import path, and prints "<sha256> <exit code>
 <table>" per table. A --parallel line must equal its twin without the flag.
 Then it prints one line per pass of repeated applies through each of two diagonal
-handles (repeat_apply_digests), which a handle may answer from the multipliers
-it keeps: those lines must match a checkout that evaluates every apply. Comparing
-two checkouts is then one diff:
+handles and a tridiagonal one (repeat_apply_digests), which a handle may answer
+from the multipliers or factors it keeps: those lines must match a checkout that
+evaluates and factors every apply. Comparing two checkouts is then one diff:
 
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/cli_digests.py > before.txt
     PYTHONPATH=src python3 scripts/cli_digests.py > after.txt
@@ -47,9 +47,9 @@ from workloads import ApplyMix, FigureSweep  # noqa: E402
 # spectra of the tridiagonal and Kronecker-sum handles: fd2d:20's holds the
 # double eigenvalues mu_a + mu_b (a != b), and fd1d:2001 lies past
 # DENSE_DIM_CAP, which matrix-error does not meet. The last two apply 90
-# terms: one ptsv call per term on fd1d:1000, and on fd2d:20 one evaluation of
-# the form on the Kronecker sum's eigenvalues, between one map into its
-# eigenbasis and one back.
+# terms: on fd1d:1000 one pttrs sweep per term, after one pttrf factorization
+# per shift, and on fd2d:20 one evaluation of the form on the Kronecker sum's
+# eigenvalues, between one map into its eigenbasis and one back.
 EXTRA_COMMANDS = (
     ("matrix-error", "--alpha", "0.5", "--nmax", "200", "--op", "diagpow:100:8"),
     ("matrix-error", "--alpha", "0.75", "--nmax", "60", "--op", "diagpow:3000:2"),
@@ -84,13 +84,15 @@ THREADED_COMMANDS = tuple(
                                                  "fd2d:182"),
                                                 ("0.25", "0.75"), ("balanced", "equalized")))
 
-# Passes of applies through one handle each for these two operators: apply-mix's
+# Passes of applies through one handle each for these operators: apply-mix's
 # twelve forms, then 17 full forms, more than a diagonal handle keeps, then the
 # twelve again. Each form is applied to a vector and then to a 3-column block, so
-# the first pass meets each of the twelve twice and the last pass after they
-# were dropped.
+# the first pass meets each of the twelve twice and the last pass after a
+# diagonal handle dropped them. fd1d:1000 factors each shift of its first pass
+# once, and its third pass finds every one of them kept.
 REPEAT_OPERATORS = (("diagpow:100000:2", "diag-power", {"size": 100_000, "exponent": 2.0}),
-                    ("fd2d:20", "fd-laplacian-2d", {"m": 20}))
+                    ("fd2d:20", "fd-laplacian-2d", {"m": 20}),
+                    ("fd1d:1000", "fd-laplacian-1d", {"m": 1000}))
 
 
 def _sha256(data: bytes) -> str:

@@ -7,7 +7,9 @@ diagonal in a basis of its own (the Kronecker sum in its eigenbasis) each such
 solve is one division per row, so an apply there evaluates the form on the
 eigenvalues instead, with eval_scalar, and scales the rows of B. Those scaled
 values depend on the handle and the form alone, so the handle keeps them for
-the forms it met last, and a repeated apply is one row scaling.
+the forms it met last, and a repeated apply is one row scaling. A tridiagonal
+handle likewise keeps the L D L^T factors of the shifts it solved last, so a
+repeated shift is one LAPACK pttrs sweep.
 The form is applied to L / lambda_min, whose spectrum starts at 1, and the
 result is multiplied back by lambda_min**(-alpha), which keeps the scalar
 error estimates valid verbatim.
@@ -20,6 +22,7 @@ calling thread.
 """
 
 import math
+import operator
 import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
@@ -32,7 +35,8 @@ from .scalar_core import _BLOCK, RationalForm, eval_scalar
 cho_factor = _lazy("scipy.linalg", "cho_factor")
 cho_solve = _lazy("scipy.linalg", "cho_solve")
 eigvalsh = _lazy("scipy.linalg", "eigvalsh")
-dptsv = _lazy("scipy.linalg.lapack", "dptsv")
+dpttrf = _lazy("scipy.linalg.lapack", "dpttrf")
+dpttrs = _lazy("scipy.linalg.lapack", "dpttrs")
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -56,6 +60,9 @@ DENSE_DIM_CAP = 2000
 # How many forms' scaled values a diagonal handle keeps, the most recently used:
 # 8 bytes per row each, so at most 128 bytes per row, 12.8 MB on a 1e5-row handle.
 _KEPT_FORMS = 16
+# How many doubles of factors a tridiagonal handle keeps (16 MiB), 2m - 1 per shift:
+# 1049 shifts at m = 1000, where apply-mix's twelve forms solve 432.
+_KEPT_DOUBLES = 2**21
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -69,6 +76,11 @@ class DimensionMismatchError(ValueError):
 def _check_dense_dim(dim: int):
     if dim > DENSE_DIM_CAP:
         raise ValueError(f"dimension too large for dense assembly: {dim} > {DENSE_DIM_CAP}")
+
+
+def _not_positive_definite(sigma: float, tau: float, order: int) -> NotPositiveDefiniteError:
+    return NotPositiveDefiniteError(f"operator not positive definite: sigma={sigma!r}, tau={tau!r}: "
+                                    f"leading minor of order {order} not positive definite")
 
 
 def _check_finite(name: str, a: np.ndarray):
@@ -94,7 +106,8 @@ class OperatorHandle(ABC):
     B into the basis once and back once, and an apply calls _solve once per
     term. The class attribute diagonal is True for a handle that is
     diag(self.eigenvalues) in its basis; an apply then makes no solve, and
-    evaluates the form on those values over lambda_min instead.
+    evaluates the form on those values over lambda_min instead. A handle may
+    keep values that depend on itself alone through _keep.
     """
 
     diagonal = False
@@ -106,6 +119,7 @@ class OperatorHandle(ABC):
             raise ValueError(f"lambda_min must be finite and positive, got {lambda_min!r}")
         self.dimension = dimension
         self.lambda_min = float(lambda_min)
+        self._kept, self._kept_lock, self._kept_size = OrderedDict(), threading.Lock(), 0
 
     def _check_rhs(self, b) -> np.ndarray:
         b = _real("right-hand side", b)
@@ -117,6 +131,29 @@ class OperatorHandle(ABC):
     def spectrum(self) -> np.ndarray:
         """Return the eigenvalues of L in ascending order."""
         raise ValueError(f"{type(self).__name__} has no spectrum(), and no handle assembles its matrix for one")
+
+    def _keep(self, key, sources: tuple, make, size: int, bound: int):
+        """make()'s value for key, kept while sources are the same objects (is) as when it was made.
+
+        A new entry of size units pushes out the least recently used until the
+        sizes sum to at most bound, the newest always kept. One lock guards
+        the map; make runs outside it, so two threads may make one entry
+        twice, and a make that raises keeps nothing.
+        """
+        with self._kept_lock:
+            kept = self._kept.get(key)
+            if kept is not None and all(map(operator.is_, kept[0], sources)):
+                self._kept.move_to_end(key)
+                return kept[1]
+        value = make()
+        with self._kept_lock:
+            if key in self._kept:
+                self._kept_size -= self._kept.pop(key)[2]
+            self._kept[key] = sources, value, size
+            self._kept_size += size
+            while self._kept_size > bound and len(self._kept) > 1:
+                self._kept_size -= self._kept.popitem(last=False)[1][2]
+        return value
 
     def _to_basis(self, b: np.ndarray) -> np.ndarray:
         return b
@@ -143,11 +180,11 @@ class DiagonalOperator(OperatorHandle):
 
     An apply scales row i of B by lambda_min**(-alpha) * eval_scalar(form,
     eigenvalues[i] / lambda_min). The handle keeps these multipliers, read-only,
-    for the _KEPT_FORMS forms it applied last, keyed by the form's content
-    (alpha, k1 and the bytes of term_arrays) and lambda_min: a form rebuilt
-    with the same terms finds them, and an entry made before eigenvalues was
-    rebound is not used. One lock guards the map, so applies from several
-    threads may share the handle; two of them may compute one entry twice.
+    for the _KEPT_FORMS forms it applied last (through _keep), keyed by the
+    form's content (alpha, k1 and the bytes of term_arrays) and lambda_min: a
+    form rebuilt with the same terms finds them, and an entry made before
+    eigenvalues was rebound is not used. Applies from several threads may
+    share the handle.
     """
 
     diagonal = True
@@ -161,7 +198,6 @@ class DiagonalOperator(OperatorHandle):
             raise NotPositiveDefiniteError("operator not positive definite")
         super().__init__(eigenvalues.size, float(eigenvalues.min()))
         self.eigenvalues = eigenvalues
-        self._kept, self._kept_lock = OrderedDict(), threading.Lock()
 
     def spectrum(self):
         return np.sort(self.eigenvalues)
@@ -176,36 +212,33 @@ class DiagonalOperator(OperatorHandle):
         eval_scalar call each, so that each piece's temporaries stay in cache.
         """
         eigenvalues, lambda_min = self.eigenvalues, self.lambda_min
+
+        def make():
+            rows = eigenvalues.size
+            p = math.ceil(rows / _BLOCK)
+            bounds = [i * rows // p for i in range(p + 1)]
+            f = np.empty(rows)
+            for lo, hi in zip(bounds, bounds[1:]):
+                f[lo:hi] = eval_scalar(form, eigenvalues[lo:hi] / lambda_min)
+            f *= lambda_min ** (-form.alpha)
+            f.setflags(write=False)
+            return f
+
         key = (form.alpha, form.k1, form.term_arrays.tobytes(), lambda_min)
-        with self._kept_lock:
-            kept = self._kept.get(key)
-            if kept is not None and kept[0] is eigenvalues:
-                self._kept.move_to_end(key)
-                return kept[1]
-        rows = eigenvalues.size
-        p = math.ceil(rows / _BLOCK)
-        bounds = [i * rows // p for i in range(p + 1)]
-        f = np.empty(rows)
-        for lo, hi in zip(bounds, bounds[1:]):
-            f[lo:hi] = eval_scalar(form, eigenvalues[lo:hi] / lambda_min)
-        f *= lambda_min ** (-form.alpha)
-        f.setflags(write=False)
-        with self._kept_lock:
-            self._kept[key] = eigenvalues, f
-            self._kept.move_to_end(key)
-            if len(self._kept) > _KEPT_FORMS:
-                self._kept.popitem(last=False)
-        return f
+        return self._keep(key, (eigenvalues,), make, 1, _KEPT_FORMS)
 
 
 class TridiagonalOperator(OperatorHandle):
-    """Symmetric tridiagonal operator; solves call LAPACK ptsv (an L D L^T factorization).
+    """Symmetric tridiagonal operator; solves use LAPACK pttrf (sigma I + tau T = L D L^T) and pttrs.
 
-    Each term is one ptsv call, O(m r), plus a few microseconds of Python. The
-    smallest eigenvalue is computed once at construction. A lambda_min known in
-    closed form may be passed instead: the handle's rule checks it first, and it
-    is kept if it exceeds the computed one by at most 4 eps ||T||_1. The
-    handle keeps read-only copies of diag and off.
+    The handle keeps the read-only factors of the shifts (sigma, tau) it
+    solved last, at most _KEPT_DOUBLES doubles, beside the diag and off they
+    came from: a new shift is one pttrf and one pttrs call, the two halves of
+    ptsv, so the bits are ptsv's, and a kept one is one pttrs call, O(m r).
+    The smallest eigenvalue is computed once at construction. A lambda_min
+    known in closed form may be passed instead: the handle's rule checks it
+    first, and it is kept if it exceeds the computed one by at most
+    4 eps ||T||_1. The handle keeps read-only copies of diag and off.
     """
 
     def __init__(self, diag, off, lambda_min: float | None = None):
@@ -232,17 +265,25 @@ class TridiagonalOperator(OperatorHandle):
         return eigvalsh_tridiagonal(self.diag, self.off)
 
     def _solve(self, sigma, tau, b):
-        d = tau * self.diag
-        d += sigma
+        diag, off = self.diag, self.off
         if self.dimension == 1:
-            # ptsv refuses an empty off-diagonal; a 1 x 1 system is one quotient
-            x, info = b / d, 0 if d[0] > 0.0 else 1
-        else:
-            _, _, x, info = dptsv(d, tau * self.off, b, overwrite_d=True, overwrite_e=True)  # b is left as it is
-        if info > 0:
-            raise NotPositiveDefiniteError(f"operator not positive definite: sigma={sigma!r}, tau={tau!r}: "
-                                           f"leading minor of order {info} not positive definite")
-        return x
+            # pttrf refuses an empty off-diagonal, and pttrs would multiply by 1 / d;
+            # a 1 x 1 system is one correctly rounded quotient, and keeps nothing
+            d = tau * diag + sigma
+            if not d[0] > 0.0:
+                raise _not_positive_definite(sigma, tau, 1)
+            return b / d
+
+        def factor():
+            d, e, info = dpttrf(tau * diag + sigma, tau * off, overwrite_d=True, overwrite_e=True)
+            if info > 0:
+                raise _not_positive_definite(sigma, tau, info)
+            d.setflags(write=False)
+            e.setflags(write=False)
+            return d, e
+
+        d, e = self._keep((sigma, tau), (diag, off), factor, 2 * self.dimension - 1, _KEPT_DOUBLES)
+        return dpttrs(d, e, b)[0]  # b is left as it is
 
 
 class DenseOperator(OperatorHandle):
@@ -319,7 +360,6 @@ class KroneckerSumOperator(DiagonalOperator):
         mu, q = eigh_tridiagonal(t.diag, t.off)
         self._q = read_only_copy("eigenbasis", q)
         self.eigenvalues = read_only_copy("eigenvalues", np.maximum(np.add.outer(mu, mu).ravel(), self.lambda_min))
-        self._kept, self._kept_lock = OrderedDict(), threading.Lock()
 
     def _to_basis(self, b):
         m, r = self.t.dimension, b.shape[1]
@@ -387,6 +427,8 @@ def apply_fractional_inverse(
     solve against L / lambda_min is the solve (sigma I + (tau / lambda_min) L) X = B.
     A handle that is not diagonal solves the whole block with one call of its
     _solve per term, and the solutions are added up in the order of form.terms().
+    A tridiagonal handle keeps the factors of the shifts it solved last, so a
+    kept shift's term is one pttrs sweep.
 
     A diagonal handle makes no solve: in its basis, row i of the result is row
     i of B times lambda_min**(-alpha) * eval_scalar(form, eigenvalues[i] /

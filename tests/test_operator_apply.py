@@ -1,8 +1,10 @@
 import dataclasses
+import importlib.util
 import math
 import re
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -868,54 +870,203 @@ def test_tridiagonal_indefinite_shift_raises():
                                "leading minor of order 1 not positive definite")
 
 
-def test_tridiagonal_solve_matches_solveh_banded():
-    # the solve calls LAPACK ptsv, as solveh_banded does on a two-row band
+def _spy(monkeypatch, name):
+    """A list that gets the arguments of every call of operator_apply's LAPACK stand-in name."""
+    calls, routine = [], getattr(operator_apply, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return routine(*args, **kwargs)
+
+    monkeypatch.setattr(operator_apply, name, spy)
+    return calls
+
+
+def test_tridiagonal_solve_matches_solveh_banded(monkeypatch):
+    # a shift's first solve calls LAPACK pttrf and pttrs, the two halves of the ptsv that
+    # solveh_banded calls on a two-row band; its second finds the factors and calls pttrs alone
+    factorizations = _spy(monkeypatch, "dpttrf")
     rng = np.random.default_rng(8)
     for m in (2, 3, 50, 1000):
-        op = builtin_operator("fd-laplacian-1d", m=m)
         block = rng.standard_normal((m, 4))
         for sigma, tau in ((1.0, 0.3), (0.02, 1.0), (3.5, 0.0), (0.0, 2.0)):
-            ab = np.zeros((2, m))
-            ab[0] = sigma + tau * op.diag
-            ab[1, :-1] = tau * op.off
             blocks = [block[:, 0], block, block[:, 1:3], block[:, 1:4:2], block[:, :0]]
             if m <= 400:
                 blocks.append(np.eye(m))
             for b in blocks:
+                op = builtin_operator("fd-laplacian-1d", m=m)
+                ab = np.zeros((2, m))
+                ab[0] = sigma + tau * op.diag
+                ab[1, :-1] = tau * op.off
+                expected = solveh_banded(ab, b, lower=True)
                 before = b.copy()
-                x = op.shifted_solve(sigma, tau, b)
-                assert np.array_equal(x, solveh_banded(ab, b, lower=True)), (m, sigma, tau, b.shape)
-                assert np.array_equal(b, before)
+                factorizations.clear()
+                for solve in ("miss", "hit"):
+                    x = op.shifted_solve(sigma, tau, b)
+                    assert np.array_equal(x, expected), (m, sigma, tau, b.shape, solve)
+                    assert np.array_equal(b, before)
+                assert len(factorizations) == 1, (m, sigma, tau, b.shape)
 
 
 def test_solve_failure_names_the_failing_term(monkeypatch):
-    # ptsv reports the 5th leading minor on its 35th call: the apply names that term, and solves no further
+    # pttrf reports the 5th leading minor on its 35th call: the apply names that term, and solves no further
     op = builtin_operator("fd-laplacian-1d", m=1000)
+    b = np.ones(1000)
     form = _form(0.5, 40)  # 80 terms
     calls = []
-    dptsv = operator_apply.dptsv
+    dpttrf = operator_apply.dpttrf
 
-    def failing(d, e, b, **kwargs):
+    def failing(d, e, **kwargs):
         calls.append(d.size)
-        out = dptsv(d, e, b, **kwargs)
-        return (*out[:3], 5) if len(calls) == 35 else out
+        out = dpttrf(d, e, **kwargs)
+        return (*out[:2], 5) if len(calls) in (35, 36) else out
 
-    monkeypatch.setattr(operator_apply, "dptsv", failing)
+    monkeypatch.setattr(operator_apply, "dpttrf", failing)
     fam, j, _, sigma, tau = list(form.terms())[34]
     message = (rf"^shifted solve failed \(family {fam}, node {j}\): operator not positive definite: "
                rf"sigma={re.escape(repr(sigma))}, tau={re.escape(repr(tau / op.lambda_min))}: "
                rf"leading minor of order 5 not positive definite$")
     with pytest.raises(RuntimeError, match=message):
-        apply_fractional_inverse(op, np.ones(1000), form)
+        apply_fractional_inverse(op, b, form)
     assert calls == [1000] * 35
+    # the 34 shifts before it were kept, the failed one was not: a second apply factors
+    # that term alone, and fails there again
+    with pytest.raises(RuntimeError, match=message):
+        apply_fractional_inverse(op, b, form)
+    assert calls == [1000] * 36
+    monkeypatch.undo()
+    assert np.array_equal(apply_fractional_inverse(op, b, form),
+                          apply_fractional_inverse(builtin_operator("fd-laplacian-1d", m=1000), b, form))
 
 
-def test_tridiagonal_one_point_solve_is_the_quotient():
+def test_tridiagonal_handle_keeps_the_factors_of_a_shift(monkeypatch):
+    factorizations, sweeps = _spy(monkeypatch, "dpttrf"), _spy(monkeypatch, "dpttrs")
+    form = _form(0.5, 12, "balanced")
+    b = np.random.default_rng(10).standard_normal(300)
+    op = builtin_operator("fd-laplacian-1d", m=300)
+    x = apply_fractional_inverse(op, b, form)
+    assert len(factorizations) == len(sweeps) == form.k1 + form.k2
+    # a repeat is one pttrs sweep per term, with the same bytes, and the factors refuse writes
+    factorizations.clear()
+    assert np.array_equal(apply_fractional_inverse(op, b, form), x) and factorizations == []
+    for d, e, _ in sweeps:
+        for factor in (d, e):
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0] = 0.0
+    # rebinding diag or off drops what the handle kept: the apply factors every term again
+    # and prints the bytes of a fresh handle rebound the same way
+    rebinds = {"diag": lambda h: setattr(h, "diag", h.diag * np.linspace(1.0, 1.5, h.dimension)),
+               "off": lambda h: setattr(h, "off", h.off * 0.5)}
+    for name, rebind in rebinds.items():
+        op, fresh = builtin_operator("fd-laplacian-1d", m=300), builtin_operator("fd-laplacian-1d", m=300)
+        apply_fractional_inverse(op, b, form)
+        rebind(op)
+        rebind(fresh)
+        expected = apply_fractional_inverse(fresh, b, form)
+        factorizations.clear()
+        assert np.array_equal(apply_fractional_inverse(op, b, form), expected), name
+        assert len(factorizations) == form.k1 + form.k2, name
+
+
+def test_tridiagonal_handle_keeps_the_shifts_it_used_last(monkeypatch):
+    factorizations = _spy(monkeypatch, "dpttrf")
+    m, size = 40, 79  # 2m - 1 doubles of factors per shift
+    monkeypatch.setattr(operator_apply, "_KEPT_DOUBLES", 5 * size + 40)
+    op = builtin_operator("fd-laplacian-1d", m=m)
+    b = np.random.default_rng(11).standard_normal(m)
+    shifts = [(1.0, 0.1 * i) for i in range(1, 7)]
+    first = [op.shifted_solve(sigma, tau, b) for sigma, tau in shifts]
+    assert len(factorizations) == 6
+    # the sixth shift dropped the least recently used, the first; the other five are kept
+    factorizations.clear()
+    for (sigma, tau), x in zip(shifts[1:], first[1:]):
+        assert np.array_equal(op.shifted_solve(sigma, tau, b), x)
+    assert factorizations == []
+    assert np.array_equal(op.shifted_solve(*shifts[0], b), first[0])
+    assert len(factorizations) == 1
+    # which in turn dropped the second, now the least recently used
+    op.shifted_solve(*shifts[2], b)
+    assert len(factorizations) == 1
+    assert np.array_equal(op.shifted_solve(*shifts[1], b), first[1])
+    assert len(factorizations) == 2
+    assert len(op._kept) == 5 and op._kept_size == 5 * size
+    # a bound below one shift's factors still keeps the newest
+    monkeypatch.setattr(operator_apply, "_KEPT_DOUBLES", size - 1)
+    factorizations.clear()
+    assert np.array_equal(op.shifted_solve(*shifts[4], b), first[4])  # a hit: the bound is met on a miss
+    assert np.array_equal(op.shifted_solve(1.0, 2.0, b), op.shifted_solve(1.0, 2.0, b))
+    assert len(factorizations) == 1 and list(op._kept) == [(1.0, 2.0)] and op._kept_size == size
+
+
+def test_tridiagonal_handle_bound_holds_apply_mix_fd1d_forms(monkeypatch):
+    # apply-mix's twelve fd1d:1000 forms, built from its grid: a second pass finds every
+    # shift kept, so a later cut of the bound cannot turn each request back into a miss
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    plans = {"balanced": plan_balanced, "equalized": plan_equalized}
+    forms = []
+    for alpha, tol, variant in dict.fromkeys((a, t, v) for _, a, t, v, _ in workloads.ApplyMix.GRID):
+        n, _ = select_n(alpha, tol)
+        forms.append(build_rational(alpha, plans[variant](n, alpha)))
+    assert len(forms) == 12
+    op = builtin_operator("fd-laplacian-1d", m=1000)
+    b = np.random.default_rng(12).standard_normal(op.dimension)
+    factorizations = _spy(monkeypatch, "dpttrf")
+    first = [apply_fractional_inverse(op, b, form).tobytes() for form in forms]
+    assert 0 < len(factorizations) < sum(form.k1 + form.k2 for form in forms)  # the forms share shifts
+    factorizations.clear()
+    assert [apply_fractional_inverse(op, b, form).tobytes() for form in forms] == first
+    assert factorizations == []
+
+
+def test_threads_share_a_tridiagonal_handle(monkeypatch):
+    # four threads on two cores, each going through more shifts than the handle keeps,
+    # with the interpreter switching threads as often as it can
+    m, bound = 30, 40 * 59
+    monkeypatch.setattr(operator_apply, "_KEPT_DOUBLES", bound)
+    op = builtin_operator("fd-laplacian-1d", m=m)
+    b = np.random.default_rng(13).standard_normal(m)
+    forms = [_form(alpha, n) for alpha in (0.25, 0.75) for n in range(1, 13)]
+    expected = [apply_fractional_inverse(builtin_operator("fd-laplacian-1d", m=m), b, form) for form in forms]
+    failures = []
+
+    def work(seed):
+        order = np.random.default_rng(seed).permutation(len(forms) * 20) % len(forms)
+        try:
+            for i in order:
+                if not np.array_equal(apply_fractional_inverse(op, b, forms[i]), expected[i]):
+                    failures.append((seed, i))
+        except Exception as exc:
+            failures.append((seed, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    sizes = [size for _, _, size in op._kept.values()]
+    assert op._kept_size == sum(sizes) <= bound and len(sizes) == bound // 59
+
+
+def test_tridiagonal_one_point_solve_is_the_quotient(monkeypatch):
+    factorizations = _spy(monkeypatch, "dpttrf")
     op = TridiagonalOperator([3.0], [])
     rng = np.random.default_rng(9)
     for sigma, tau in rng.uniform(0.0, 10.0, (200, 2)):
         b = rng.standard_normal((1, 3))
-        assert np.array_equal(op.shifted_solve(sigma, tau, b), b / (sigma + tau * op.diag))
+        for _ in range(2):
+            assert np.array_equal(op.shifted_solve(sigma, tau, b), b / (sigma + tau * op.diag))
+    # and keeps nothing
+    assert factorizations == [] and len(op._kept) == 0 and op._kept_size == 0
 
 
 def test_shift_validation():
